@@ -1,4 +1,4 @@
-.PHONY: all build test check check-model lint advise bench bench-analysis bench-gate bench-update chaos serve-smoke examples clean doc export
+.PHONY: all build test check check-model lint advise bench chaos serve-smoke examples clean doc export
 
 all: build
 
@@ -27,25 +27,6 @@ check-model: build
 
 bench:
 	dune exec bench/main.exe
-	dune exec bench/bench_lint.exe
-
-bench-analysis:
-	dune exec bin/vdram.exe -- bench-analysis
-
-bench-gate: build
-	dune exec bin/vdram.exe -- bench-analysis --out BENCH_fresh.json
-	dune exec tools/bench_gate.exe -- BENCH_analysis.json BENCH_fresh.json
-
-# Refresh the committed baseline: one warmup run plus three candidates;
-# the gate's --update mode sanity-checks each and commits the median by
-# parallel speedup.
-bench-update: build
-	@for i in 0 1 2 3; do \
-	  dune exec bin/vdram.exe -- bench-analysis --out BENCH_run$$i.json || exit 1; \
-	done
-	dune exec tools/bench_gate.exe -- --update BENCH_analysis.json \
-	  BENCH_run0.json BENCH_run1.json BENCH_run2.json BENCH_run3.json
-	rm -f BENCH_run0.json BENCH_run1.json BENCH_run2.json BENCH_run3.json
 
 # Supervised runtime under deterministic fault injection: must exit 3
 # (partial results) and report only injected mix-stage failures.

@@ -174,7 +174,6 @@ let create ?jobs ?store ?(delta = true) () =
 
 let serial () = create ~jobs:1 ()
 let jobs t = t.jobs
-let delta_enabled t = t.delta
 let store t = t.store
 let preloaded t = t.preloaded
 let discarded t = t.discarded

@@ -34,18 +34,14 @@ val create : ?jobs:int -> ?store:Store.t -> ?delta:bool -> unit -> t
     because of it.  [delta] (default [true]) enables the incremental
     delta-extraction path taken when a caller passes [?base]; turning
     it off forces every extraction miss through the full extract —
-    results are bit-identical either way (the bench uses the switch to
-    measure the delta mechanism in isolation). *)
+    results are bit-identical either way (the benchmark ledger's
+    corners check uses a delta-off engine as its reference). *)
 
 val serial : unit -> t
 (** [create ~jobs:1 ()] — the drop-in default the analysis drivers use
     when no engine is supplied. *)
 
 val jobs : t -> int
-
-val delta_enabled : t -> bool
-(** Whether the engine honours [?base] with the incremental
-    delta-extraction path (see {!create}). *)
 
 (** {1 Persistent store} *)
 

@@ -60,12 +60,27 @@ val work_key : request -> string option
     [id] — or [None] for [Ping]/[Stats] (never coalesced).  Two
     in-flight requests with equal keys may share one computation. *)
 
+val parse_node : string -> (Vdram_tech.Node.t, string) result
+(** A technology node such as ["55nm"] or a bare nanometre count
+    (["55"]); the nearest roadmap node is used. *)
+
+val commodity :
+  ?density_mbits:float ->
+  ?io_width:int ->
+  ?datarate:string ->
+  Vdram_tech.Node.t ->
+  (Vdram_core.Config.t, string) result
+(** The commodity device at a node with the CLI's knobs
+    ([--density-mbits], [--io-width], [--datarate]).  A [datarate]
+    that does not parse as a data rate (["1.6Gbps"] does, ["1.6"] and
+    ["garbage"] do not) is an error, never the default part. *)
+
 val resolve_config :
   config_spec ->
   (Vdram_core.Config.t * Vdram_core.Pattern.t option, string) result
 (** Build the device exactly as the CLI's config loading does: inline
     [source] through the DSL elaborator (yielding its stored pattern,
-    if any), otherwise the commodity device at the requested node. *)
+    if any), otherwise {!commodity} at the requested node. *)
 
 val resolve_pattern :
   Vdram_core.Config.t ->

@@ -342,6 +342,10 @@ let store_roundtrip () =
   Alcotest.(check int) "warm eval misses nothing" 0
     s.Engine.mix_stats.misses;
   Helpers.check_true "disk replay bit-identical" (r_warm = r_cold);
+  (* The extraction snapshot is served too, not only the mix one. *)
+  ignore (Engine.extraction warm cfg : Vdram_core.Model.extraction);
+  Alcotest.(check int) "warm extraction is a hit" 1
+    (Engine.stats warm).Engine.extraction_stats.hits;
   Store.clear (store ())
 
 let store_corruption_recovery () =

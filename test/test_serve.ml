@@ -427,6 +427,39 @@ let server_basics () =
       check_true "engine block present" (Json.mem "engine" stats <> None);
       Unix.close fd)
 
+(* A malformed datarate is a bad request, never the default part; the
+   roadmap's rates, written as the benchmark ledger sends them, all
+   parse to the same speed. *)
+let protocol_datarate () =
+  let resolve datarate =
+    Protocol.resolve_config
+      { default_spec with Protocol.datarate = Some datarate }
+  in
+  List.iter
+    (fun s ->
+      match resolve s with
+      | Ok _ -> Alcotest.failf "datarate %S must be rejected" s
+      | Error e ->
+        check_true
+          (Printf.sprintf "%S: error names the datarate (%s)" s e)
+          (String.starts_with ~prefix:(Printf.sprintf "bad datarate %S" s) e))
+    [ "garbage"; "1.6"; "1.6GHz"; "" ];
+  List.iter
+    (fun (g : Vdram_tech.Roadmap.t) ->
+      let s = Printf.sprintf "%gMbps" (g.Vdram_tech.Roadmap.datarate /. 1e6) in
+      match resolve s with
+      | Error e -> Alcotest.failf "datarate %S: %s" s e
+      | Ok (cfg, _) ->
+        Helpers.close_rel ~rel:1e-5 s g.Vdram_tech.Roadmap.datarate
+          cfg.Config.spec.Vdram_core.Spec.datarate)
+    Vdram_tech.Roadmap.all;
+  with_server (fun _server path ->
+      let fd = connect path in
+      send_line fd {|{"id":"d1","op":"eval","config":{"datarate":"1.6"}}|};
+      let e = one (recv_frames fd 1) in
+      Alcotest.(check string) "served class" "bad_request" (jstr e "class");
+      Unix.close fd)
+
 let server_bad_frames () =
   with_server ~max_frame_bytes:256 (fun _server path ->
       let fd = connect path in
@@ -711,6 +744,8 @@ let suite =
     Alcotest.test_case "json rejects hostile input" `Quick json_rejects;
     Alcotest.test_case "protocol decode and defaults" `Quick protocol_decode;
     Alcotest.test_case "protocol work keys" `Quick protocol_work_key;
+    Alcotest.test_case "protocol: malformed datarate is a bad request" `Quick
+      protocol_datarate;
     Alcotest.test_case "render: engine equals model" `Quick
       render_engine_identity;
     Alcotest.test_case "coalesce: deterministic single flight" `Quick
