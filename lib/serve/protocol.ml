@@ -2,6 +2,7 @@
    device resolution shared with (and equivalent to) the one-shot
    CLI. *)
 
+module Json = Vdram_json.Json
 module Config = Vdram_core.Config
 module Pattern = Vdram_core.Pattern
 module Node = Vdram_tech.Node

@@ -44,14 +44,15 @@ type kind =
     }
 
 type request = {
-  id : Json.t;
+  id : Vdram_json.Json.t;
       (** echoed verbatim on every response frame; [Null] if absent *)
   kind : kind;
   deadline : float option;
       (** per-item seconds, routed into the supervision policy *)
 }
 
-val decode : Json.t -> (request, Json.t * string) result
+val decode :
+  Vdram_json.Json.t -> (request, Vdram_json.Json.t * string) result
 (** Decode one frame.  [Error (id, message)] carries whatever [id] the
     frame did contain so the rejection can still be correlated. *)
 

@@ -5,6 +5,7 @@
    threads spend their time blocked in [select]/[Condition.wait] and
    the runtime lock is not a throughput concern. *)
 
+module Json = Vdram_json.Json
 module Engine = Vdram_engine.Engine
 module Store = Vdram_engine.Store
 module Supervise = Vdram_engine.Supervise

@@ -80,7 +80,7 @@ val address : t -> Unix.sockaddr
 (** The bound address — for [Tcp (_, 0)] this carries the actual
     port. *)
 
-val stats_json : t -> Json.t
+val stats_json : t -> Vdram_json.Json.t
 (** The same object a [stats] request returns: engine cache counters,
     store I/O, request/coalescing/admission counters, failure classes,
     in-flight depth, drain flag, uptime. *)
