@@ -28,19 +28,29 @@ check-model: build
 bench:
 	dune exec bench/main.exe
 
-# Supervised runtime under deterministic fault injection: must exit 3
-# (partial results) and report only injected mix-stage failures.
+# Supervised runtime under deterministic fault injection: every seed
+# must exit 3 (partial results) with a version-1 fail-log holding only
+# injected mix-stage failures, and a run with injection off must exit
+# 0 with an empty failure list.  CI's chaos job runs this target.
 chaos: build
 	@for seed in 7 11 42; do \
-	  code=0; \
+	  log=chaos_$$seed.json; code=0; \
 	  VDRAM_FAULTS="seed=$$seed,rate=0.02,raise=mix" \
 	    dune exec bin/vdram.exe -- corners --node 55nm --samples 400 \
-	      --jobs 2 --keep-going --fail-log chaos_$$seed.json || code=$$?; \
-	  [ "$$code" -eq 3 ] || { echo "seed $$seed: expected exit 3, got $$code"; exit 1; }; \
-	  grep -q '"injected": true' chaos_$$seed.json || { echo "seed $$seed: no injected failures"; exit 1; }; \
-	  ! grep -q '"injected": false' chaos_$$seed.json || { echo "seed $$seed: non-injected failure leaked"; exit 1; }; \
-	  echo "chaos seed $$seed: ok"; \
+	      --jobs 2 --keep-going --fail-log $$log || code=$$?; \
+	  [ "$$code" -eq 3 ] || { echo "seed $$seed: expected exit 3 (partial), got $$code"; exit 1; }; \
+	  grep -q '"version": 1' $$log || { echo "seed $$seed: not a version 1 fail-log"; exit 1; }; \
+	  grep -q '"stage": "mix"' $$log || { echo "seed $$seed: no mix-stage failure"; exit 1; }; \
+	  grep -q '"injected": true' $$log || { echo "seed $$seed: no injected failures"; exit 1; }; \
+	  ! grep -q '"injected": false' $$log || { echo "seed $$seed: non-injected failure leaked into the log"; exit 1; }; \
+	  echo "chaos seed $$seed: $$(grep -c '"stage": "mix"' $$log) injected failure(s), exit 3"; \
 	done
+	@code=0; \
+	VDRAM_FAULTS= dune exec bin/vdram.exe -- corners --node 55nm \
+	  --samples 400 --jobs 2 --keep-going --fail-log chaos_clean.json || code=$$?; \
+	[ "$$code" -eq 0 ] || { echo "clean run: expected exit 0, got $$code"; exit 1; }; \
+	grep -q '"failures": \[\]' chaos_clean.json || { echo "clean run: failures recorded"; exit 1; }; \
+	echo "chaos clean run: no failures, exit 0"
 
 # Serve daemon end-to-end: boot the real binary under fault
 # injection, drive concurrent mixed traffic (coalescing and

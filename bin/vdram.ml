@@ -13,6 +13,7 @@ module Lint = Vdram_lint.Lint
 module Code = Vdram_diagnostics.Code
 module Protocol = Vdram_serve.Protocol
 module Render = Vdram_serve.Render
+module Json = Vdram_json.Json
 
 (* ----- errors, output files and commands ---------------------------- *)
 
@@ -588,7 +589,7 @@ type 'a diagnostic = {
   of_file : string -> 'a;
   report : 'a -> Lint.report;
   with_report : 'a -> Lint.report -> 'a;
-  json : 'a -> string;  (** one entry of the envelope's "files" *)
+  json : 'a -> Json.t;  (** one entry of the envelope's "files" *)
   text : Format.formatter -> string -> 'a -> unit;
       (** the text rendering of one input, given its FILE argument *)
 }
@@ -654,11 +655,16 @@ let run_diagnostic ~inventory ?(fixes = no_fixes) ?(ppf = Format.std_formatter)
   (match flags.format with
    | `Sarif -> Format.fprintf ppf "%s" (Lint.to_sarif reports)
    | `Json ->
-     let total count = List.fold_left (fun n r -> n + count r) 0 reports in
-     Format.fprintf ppf
-       "{\"version\":1,\"errors\":%d,\"warnings\":%d,\"files\":[%s]}\n"
-       (total Lint.errors) (total Lint.warnings)
-       (String.concat "," (List.map (fun (_, a) -> d.json a) results))
+     let total count =
+       Json.Num (float (List.fold_left (fun n r -> n + count r) 0 reports))
+     in
+     Format.fprintf ppf "%s\n"
+       (Json.to_string
+          (Json.Obj
+             [ ("version", Json.Num 1.); ("errors", total Lint.errors);
+               ("warnings", total Lint.warnings);
+               ("files", Json.List (List.map (fun (_, a) -> d.json a) results))
+             ]))
    | `Text -> List.iter (fun (f, a) -> d.text ppf f a) results);
   Format.pp_print_flush ppf ();
   let incomplete = finish results in

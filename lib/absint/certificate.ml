@@ -57,162 +57,82 @@ let v ?sweep ?samples ~config ~pattern ~box ~splits ~bounds ~monotonicity ()
 
 (* ----- JSON -------------------------------------------------------- *)
 
-let add_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+module Json = Vdram_json.Json
 
-let add_float buf x =
-  if Float.is_finite x then
-    Buffer.add_string buf (Printf.sprintf "%.17g" x)
-  else Buffer.add_string buf "null"
+let num x =
+  if Float.is_finite x then Json.Lit (Printf.sprintf "%.17g" x) else Json.Null
 
-let add_interval buf (i : I.t) =
-  Buffer.add_string buf "{\"lo\":";
-  add_float buf i.I.lo;
-  Buffer.add_string buf ",\"hi\":";
-  add_float buf i.I.hi;
-  Buffer.add_char buf '}'
+let int n = Json.Num (float n)
+let option f = function Some x -> f x | None -> Json.Null
 
-let add_bound buf name (i : I.t) nominal =
-  add_string buf name;
-  Buffer.add_string buf ":{\"lo\":";
-  add_float buf i.I.lo;
-  Buffer.add_string buf ",\"hi\":";
-  add_float buf i.I.hi;
-  Buffer.add_string buf ",\"nominal\":";
-  add_float buf nominal;
-  Buffer.add_char buf '}'
+let interval ?nominal (i : I.t) =
+  Json.Obj
+    ([ ("lo", num i.I.lo); ("hi", num i.I.hi) ]
+    @ match nominal with Some n -> [ ("nominal", num n) ] | None -> [])
 
-let add_list buf items add_item =
-  Buffer.add_char buf '[';
-  List.iteri
-    (fun i item ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_item buf item)
-    items;
-  Buffer.add_char buf ']'
+let axis (a : Abox.axis) =
+  let scale : I.t = a.Abox.scale in
+  Json.Obj
+    [ ("lens", Json.Str a.Abox.lens.Lenses.name);
+      ("group", Json.Str (Lenses.group_name a.Abox.lens.Lenses.group));
+      ("scale_lo", num scale.I.lo); ("scale_hi", num scale.I.hi) ]
 
-let add_axis buf (a : Abox.axis) =
-  Buffer.add_string buf "{\"lens\":";
-  add_string buf a.Abox.lens.Lenses.name;
-  Buffer.add_string buf ",\"group\":";
-  add_string buf (Lenses.group_name a.Abox.lens.Lenses.group);
-  Buffer.add_string buf ",\"scale_lo\":";
-  add_float buf (a.Abox.scale : I.t).I.lo;
-  Buffer.add_string buf ",\"scale_hi\":";
-  add_float buf (a.Abox.scale : I.t).I.hi;
-  Buffer.add_char buf '}'
+let monotone (m : Monotone.certificate) =
+  let direction d = Json.Str (Monotone.direction_name d) in
+  Json.Obj
+    [ ("lens", Json.Str m.Monotone.lens);
+      ("group", Json.Str (Lenses.group_name m.Monotone.group));
+      ("metric", Json.Str (Monotone.metric_name m.Monotone.metric));
+      ("scale_lo", num m.Monotone.lo); ("scale_hi", num m.Monotone.hi);
+      ("direction", option direction m.Monotone.direction);
+      ("cells", int m.Monotone.cells);
+      ("resolution", num m.Monotone.resolution) ]
 
-let add_monotone buf (m : Monotone.certificate) =
-  Buffer.add_string buf "{\"lens\":";
-  add_string buf m.Monotone.lens;
-  Buffer.add_string buf ",\"group\":";
-  add_string buf (Lenses.group_name m.Monotone.group);
-  Buffer.add_string buf ",\"metric\":";
-  add_string buf (Monotone.metric_name m.Monotone.metric);
-  Buffer.add_string buf ",\"scale_lo\":";
-  add_float buf m.Monotone.lo;
-  Buffer.add_string buf ",\"scale_hi\":";
-  add_float buf m.Monotone.hi;
-  Buffer.add_string buf ",\"direction\":";
-  (match m.Monotone.direction with
-   | None -> Buffer.add_string buf "null"
-   | Some d -> add_string buf (Monotone.direction_name d));
-  Buffer.add_string buf ",\"cells\":";
-  Buffer.add_string buf (string_of_int m.Monotone.cells);
-  Buffer.add_string buf ",\"resolution\":";
-  add_float buf m.Monotone.resolution;
-  Buffer.add_char buf '}'
+let sweep s =
+  let entry e =
+    Json.Obj
+      [ ("node", Json.Str e.node); ("legal", Json.Bool e.legal);
+        ("violations", Json.List (List.map (fun v -> Json.Str v) e.violations))
+      ]
+  in
+  Json.Obj
+    [ ("authored_node", Json.Str s.authored_node);
+      ("authored_legal", Json.Bool s.authored_legal);
+      ("generations", Json.List (List.map entry s.entries)) ]
 
-let add_sweep_entry buf e =
-  Buffer.add_string buf "{\"node\":";
-  add_string buf e.node;
-  Buffer.add_string buf ",\"legal\":";
-  Buffer.add_string buf (if e.legal then "true" else "false");
-  Buffer.add_string buf ",\"violations\":";
-  add_list buf e.violations (fun buf s -> add_string buf s);
-  Buffer.add_char buf '}'
+let samples s =
+  Json.Obj [ ("count", int s.count); ("contained", Json.Bool s.contained) ]
 
 let to_json t =
-  let buf = Buffer.create 2048 in
-  let b = Buffer.add_string buf in
-  b "{\"certificate_version\":1";
-  b ",\"model_version\":";
-  add_string buf Model.version;
-  b ",\"config\":{\"name\":";
-  add_string buf t.config.Config.name;
-  b ",\"node\":";
-  add_string buf (Node.name t.config.Config.node);
-  b "}";
-  b ",\"pattern\":";
-  add_string buf t.pattern.Pattern.name;
-  b ",\"axes\":";
-  add_list buf (Abox.axes t.box) add_axis;
-  b ",\"splits\":";
-  b (string_of_int t.splits);
-  b ",\"pieces\":";
-  b (string_of_int t.bounds.Bounds.pieces);
-  b ",\"bounds\":{";
-  add_bound buf "power" t.bounds.Bounds.power t.nominal.Report.power;
-  b ",";
-  add_bound buf "current" t.bounds.Bounds.current t.nominal.Report.current;
-  b ",";
-  add_bound buf "background" t.bounds.Bounds.background
-    t.nominal.Report.background_power;
-  b ",\"energy_per_bit\":";
-  (match (t.bounds.Bounds.energy_per_bit, t.nominal.Report.energy_per_bit)
-   with
-   | Some i, Some n ->
-     Buffer.add_string buf "{\"lo\":";
-     add_float buf i.I.lo;
-     Buffer.add_string buf ",\"hi\":";
-     add_float buf i.I.hi;
-     Buffer.add_string buf ",\"nominal\":";
-     add_float buf n;
-     Buffer.add_char buf '}'
-   | _ -> b "null");
-  b ",\"op_energy\":{";
-  List.iteri
-    (fun i (kind, interval) ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_string buf (Operation.name kind);
-      Buffer.add_char buf ':';
-      add_interval buf interval)
-    t.bounds.Bounds.op_energy;
-  b "}}";
-  b ",\"monotonicity\":";
-  add_list buf t.monotonicity add_monotone;
-  b ",\"sweep_legality\":";
-  (match t.sweep with
-   | None -> b "null"
-   | Some s ->
-     b "{\"authored_node\":";
-     add_string buf s.authored_node;
-     b ",\"authored_legal\":";
-     b (if s.authored_legal then "true" else "false");
-     b ",\"generations\":";
-     add_list buf s.entries add_sweep_entry;
-     b "}");
-  b ",\"samples\":";
-  (match t.samples with
-   | None -> b "null"
-   | Some s ->
-     b "{\"count\":";
-     b (string_of_int s.count);
-     b ",\"contained\":";
-     b (if s.contained then "true" else "false");
-     b "}");
-  b "}";
-  Buffer.contents buf
+  let b = t.bounds and n = t.nominal in
+  let energy_per_bit =
+    match (b.Bounds.energy_per_bit, n.Report.energy_per_bit) with
+    | Some i, Some nominal -> interval ~nominal i
+    | _ -> Json.Null
+  in
+  let op_energy (kind, i) = (Operation.name kind, interval i) in
+  Json.to_string
+    (Json.Obj
+       [ ("certificate_version", int 1);
+         ("model_version", Json.Str Model.version);
+         ( "config",
+           Json.Obj
+             [ ("name", Json.Str t.config.Config.name);
+               ("node", Json.Str (Node.name t.config.Config.node)) ] );
+         ("pattern", Json.Str t.pattern.Pattern.name);
+         ("axes", Json.List (List.map axis (Abox.axes t.box)));
+         ("splits", int t.splits); ("pieces", int b.Bounds.pieces);
+         ( "bounds",
+           Json.Obj
+             [ ("power", interval ~nominal:n.Report.power b.Bounds.power);
+               ( "current",
+                 interval ~nominal:n.Report.current b.Bounds.current );
+               ( "background",
+                 interval ~nominal:n.Report.background_power
+                   b.Bounds.background );
+               ("energy_per_bit", energy_per_bit);
+               ("op_energy", Json.Obj (List.map op_energy b.Bounds.op_energy))
+             ] );
+         ("monotonicity", Json.List (List.map monotone t.monotonicity));
+         ("sweep_legality", option sweep t.sweep);
+         ("samples", option samples t.samples) ])

@@ -49,3 +49,5 @@ val v :
 (** Assemble a certificate; the nominal report is evaluated here. *)
 
 val to_json : t -> string
+(** The certificate as one JSON object on one line, printed by
+    {!Vdram_json.Json.to_string}. *)

@@ -73,85 +73,28 @@ let pp_rich ?source ppf t =
 
 (* ----- JSON -------------------------------------------------------- *)
 
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+module Json = Vdram_json.Json
 
-let to_json buf t =
-  Buffer.add_char buf '{';
-  Buffer.add_string buf "\"severity\":";
-  add_json_string buf (severity_name t.severity);
-  Buffer.add_string buf ",\"code\":";
-  add_json_string buf t.code;
-  Buffer.add_string buf ",\"message\":";
-  add_json_string buf t.message;
-  (match t.span.Span.file with
-   | Some f ->
-     Buffer.add_string buf ",\"file\":";
-     add_json_string buf f
-   | None -> ());
-  if t.span.Span.line > 0 then
-    Buffer.add_string buf (Printf.sprintf ",\"line\":%d" t.span.Span.line);
-  if t.span.Span.col_start > 0 then begin
-    Buffer.add_string buf (Printf.sprintf ",\"col\":%d" t.span.Span.col_start);
-    Buffer.add_string buf
-      (Printf.sprintf ",\"end_col\":%d" t.span.Span.col_end)
-  end;
-  if t.notes <> [] then begin
-    Buffer.add_string buf ",\"notes\":[";
-    List.iteri
-      (fun i n ->
-        if i > 0 then Buffer.add_char buf ',';
-        add_json_string buf n)
-      t.notes;
-    Buffer.add_char buf ']'
-  end;
-  (match t.help with
-   | Some h ->
-     Buffer.add_string buf ",\"help\":";
-     add_json_string buf h
-   | None -> ());
-  if t.fixes <> [] then begin
-    Buffer.add_string buf ",\"fixes\":[";
-    List.iteri
-      (fun i f ->
-        if i > 0 then Buffer.add_char buf ',';
-        let s = f.Fix.span in
-        Buffer.add_string buf
-          (Printf.sprintf "{\"line\":%d,\"col\":%d,\"end_col\":%d" s.Span.line
-             s.Span.col_start s.Span.col_end);
-        if Fix.is_multiline f then
-          Buffer.add_string buf
-            (Printf.sprintf ",\"end_line\":%d" f.Fix.line_end);
-        Buffer.add_string buf ",\"replacement\":";
-        add_json_string buf f.Fix.replacement;
-        Buffer.add_char buf '}')
-      t.fixes;
-    Buffer.add_char buf ']'
-  end;
-  Buffer.add_char buf '}'
-
-let json_of_list ts =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"errors\":%d,\"warnings\":%d,\"diagnostics\":["
-       (count Error ts) (count Warning ts));
-  List.iteri
-    (fun i t ->
-      if i > 0 then Buffer.add_char buf ',';
-      to_json buf t)
-    ts;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+let to_json t =
+  let s = t.span in
+  let int n = Json.Num (float n) in
+  let when_ cond members = if cond then members else [] in
+  let fix (f : Fix.t) =
+    let s = f.Fix.span in
+    Json.Obj
+      ([ ("line", int s.Span.line); ("col", int s.Span.col_start);
+         ("end_col", int s.Span.col_end) ]
+      @ when_ (Fix.is_multiline f) [ ("end_line", int f.Fix.line_end) ]
+      @ [ ("replacement", Json.Str f.Fix.replacement) ])
+  in
+  Json.Obj
+    ([ ("severity", Json.Str (severity_name t.severity));
+       ("code", Json.Str t.code); ("message", Json.Str t.message) ]
+    @ (match s.Span.file with Some f -> [ ("file", Json.Str f) ] | None -> [])
+    @ when_ (s.Span.line > 0) [ ("line", int s.Span.line) ]
+    @ when_ (s.Span.col_start > 0)
+        [ ("col", int s.Span.col_start); ("end_col", int s.Span.col_end) ]
+    @ when_ (t.notes <> [])
+        [ ("notes", Json.List (List.map (fun n -> Json.Str n) t.notes)) ]
+    @ (match t.help with Some h -> [ ("help", Json.Str h) ] | None -> [])
+    @ when_ (t.fixes <> []) [ ("fixes", Json.List (List.map fix t.fixes)) ])

@@ -50,10 +50,7 @@ val pp_rich : ?source:string array -> Format.formatter -> t -> unit
     a caret underline; notes and help render as trailing [= note:] /
     [= help:] lines. *)
 
-val to_json : Buffer.t -> t -> unit
-(** Append one JSON object ({["severity","code","message"]} plus
-    ["file"], ["line"], ["col"], ["end_col"], ["notes"], ["help"] when
-    present). *)
-
-val json_of_list : t list -> string
-(** A JSON report: [{"errors":N,"warnings":M,"diagnostics":[...]}]. *)
+val to_json : t -> Vdram_json.Json.t
+(** One JSON object: ["severity"], ["code"] and ["message"], then
+    ["file"], ["line"], ["col"], ["end_col"], ["notes"], ["help"] and
+    ["fixes"] when present. *)

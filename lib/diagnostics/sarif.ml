@@ -6,21 +6,7 @@ let schema_uri =
 let tool_name = "vdram lint"
 let tool_version = "1.0.0"
 
-let add_str buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+module Json = Vdram_json.Json
 
 let level_name = function Code.Error -> "error" | Code.Warning -> "warning"
 
@@ -29,64 +15,64 @@ let uri_of file span =
   | Some f -> f
   | None -> ( match file with Some f -> f | None -> "<stdin>")
 
-let add_region ?end_line buf (s : Span.t) =
-  Buffer.add_string buf (Printf.sprintf "{\"startLine\":%d" s.line);
-  (match end_line with
-   | Some l when l > s.line ->
-     Buffer.add_string buf (Printf.sprintf ",\"endLine\":%d" l)
-   | _ -> ());
-  if s.col_start >= 1 then
-    Buffer.add_string buf
-      (Printf.sprintf ",\"startColumn\":%d,\"endColumn\":%d" s.col_start
-         (max s.col_start s.col_end));
-  Buffer.add_char buf '}'
+let int n = Json.Num (float n)
+let text s = Json.Obj [ ("text", Json.Str s) ]
+let artifact uri = ("artifactLocation", Json.Obj [ ("uri", Json.Str uri) ])
 
-let add_location buf uri (s : Span.t) =
-  Buffer.add_string buf "{\"physicalLocation\":{\"artifactLocation\":{\"uri\":";
-  add_str buf uri;
-  Buffer.add_char buf '}';
-  if s.line >= 1 then begin
-    Buffer.add_string buf ",\"region\":";
-    add_region buf s
-  end;
-  Buffer.add_string buf "}}"
+let region ?end_line (s : Span.t) =
+  Json.Obj
+    ([ ("startLine", int s.line) ]
+    @ (match end_line with
+       | Some l when l > s.line -> [ ("endLine", int l) ]
+       | _ -> [])
+    @
+    if s.col_start >= 1 then
+      [ ("startColumn", int s.col_start);
+        ("endColumn", int (max s.col_start s.col_end)) ]
+    else [])
 
-let add_fix buf uri (d : Diagnostic.t) =
-  Buffer.add_string buf "{\"description\":{\"text\":";
-  add_str buf ("fix " ^ d.code);
-  Buffer.add_string buf "},\"artifactChanges\":[{\"artifactLocation\":{\"uri\":";
-  add_str buf uri;
-  Buffer.add_string buf "},\"replacements\":[";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "{\"deletedRegion\":";
-      add_region ~end_line:f.Fix.line_end buf f.Fix.span;
-      Buffer.add_string buf ",\"insertedContent\":{\"text\":";
-      add_str buf f.Fix.replacement;
-      Buffer.add_string buf "}}")
-    d.fixes;
-  Buffer.add_string buf "]}]}"
+let location uri (s : Span.t) =
+  Json.Obj
+    [ ( "physicalLocation",
+        Json.Obj
+          (artifact uri
+           :: (if s.line >= 1 then [ ("region", region s) ] else [])) ) ]
 
-let add_result buf ~rule_index file (d : Diagnostic.t) =
+let fix uri (d : Diagnostic.t) =
+  let replacement f =
+    Json.Obj
+      [ ("deletedRegion", region ~end_line:f.Fix.line_end f.Fix.span);
+        ("insertedContent", text f.Fix.replacement) ]
+  in
+  Json.Obj
+    [ ("description", text ("fix " ^ d.code));
+      ( "artifactChanges",
+        Json.List
+          [ Json.Obj
+              [ artifact uri;
+                ("replacements", Json.List (List.map replacement d.fixes)) ]
+          ] ) ]
+
+let result ~rule_index file (d : Diagnostic.t) =
   let uri = uri_of file d.span in
-  Buffer.add_string buf "{\"ruleId\":";
-  add_str buf d.code;
-  Buffer.add_string buf
-    (Printf.sprintf ",\"ruleIndex\":%d" (rule_index d.code));
-  Buffer.add_string buf ",\"level\":";
-  add_str buf (level_name d.severity);
-  Buffer.add_string buf ",\"message\":{\"text\":";
-  add_str buf d.message;
-  Buffer.add_string buf "},\"locations\":[";
-  add_location buf uri d.span;
-  Buffer.add_char buf ']';
-  if d.fixes <> [] then begin
-    Buffer.add_string buf ",\"fixes\":[";
-    add_fix buf uri d;
-    Buffer.add_char buf ']'
-  end;
-  Buffer.add_char buf '}'
+  Json.Obj
+    ([ ("ruleId", Json.Str d.code); ("ruleIndex", int (rule_index d.code));
+       ("level", Json.Str (level_name d.severity));
+       ("message", text d.message);
+       ("locations", Json.List [ location uri d.span ]) ]
+    @ if d.fixes <> [] then [ ("fixes", Json.List [ fix uri d ]) ] else [])
+
+let rule c =
+  Json.Obj
+    (("id", Json.Str c)
+     ::
+     (match Code.find c with
+      | Some info ->
+        [ ("shortDescription", text info.Code.title);
+          ( "defaultConfiguration",
+            Json.Obj [ ("level", Json.Str (level_name info.Code.severity)) ]
+          ) ]
+      | None -> []))
 
 let render reports =
   let flat =
@@ -104,34 +90,20 @@ let render reports =
     in
     go 0 codes
   in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\"$schema\":";
-  add_str buf schema_uri;
-  Buffer.add_string buf ",\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{\"name\":";
-  add_str buf tool_name;
-  Buffer.add_string buf ",\"version\":";
-  add_str buf tool_version;
-  Buffer.add_string buf ",\"rules\":[";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "{\"id\":";
-      add_str buf c;
-      (match Code.find c with
-       | Some info ->
-         Buffer.add_string buf ",\"shortDescription\":{\"text\":";
-         add_str buf info.Code.title;
-         Buffer.add_string buf "},\"defaultConfiguration\":{\"level\":";
-         add_str buf (level_name info.Code.severity);
-         Buffer.add_char buf '}'
-       | None -> ());
-      Buffer.add_char buf '}')
-    codes;
-  Buffer.add_string buf "]}},\"results\":[";
-  List.iteri
-    (fun i (file, d) ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_result buf ~rule_index file d)
-    flat;
-  Buffer.add_string buf "]}]}";
-  Buffer.contents buf
+  let driver =
+    Json.Obj
+      [ ("name", Json.Str tool_name); ("version", Json.Str tool_version);
+        ("rules", Json.List (List.map rule codes)) ]
+  in
+  Json.to_string
+    (Json.Obj
+       [ ("$schema", Json.Str schema_uri); ("version", Json.Str "2.1.0");
+         ( "runs",
+           Json.List
+             [ Json.Obj
+                 [ ("tool", Json.Obj [ ("driver", driver) ]);
+                   ( "results",
+                     Json.List
+                       (List.map
+                          (fun (file, d) -> result ~rule_index file d)
+                          flat) ) ] ] ) ])

@@ -31,18 +31,26 @@ let default_dir () =
   | Some d when d <> "" -> d
   | _ -> Filename.concat "_build" ".vdram-cache"
 
-let default_max_bytes () =
-  match Sys.getenv_opt "VDRAM_CACHE_MAX_BYTES" with
-  | Some s -> int_of_string_opt (String.trim s)
+(* A byte cap from the environment.  A malformed or negative value
+   counts as unset, as a garbage VDRAM_JOBS does in [Pool]: a negative
+   cap would make every save delete every other file. *)
+let env_bytes var =
+  match Sys.getenv_opt var with
+  | Some s -> (
+    match int_of_string_opt (String.trim s) with
+    | Some n when n >= 0 -> Some n
+    | _ -> None)
   | None -> None
+
+let default_max_bytes () = env_bytes "VDRAM_CACHE_MAX_BYTES"
 
 (* The quarantine directory is capped by default: its whole purpose is
    to keep evidence, and evidence of a corrupt-heavy run (every failed
    read moves another specimen aside) must not grow without bound on a
    long-lived daemon.  32 MiB keeps plenty of specimens. *)
 let default_quarantine_max_bytes () =
-  match Sys.getenv_opt "VDRAM_QUARANTINE_MAX_BYTES" with
-  | Some s -> int_of_string_opt (String.trim s)
+  match env_bytes "VDRAM_QUARANTINE_MAX_BYTES" with
+  | Some _ as cap -> cap
   | None -> Some (32 * 1024 * 1024)
 
 let rec mkdir_p dir =

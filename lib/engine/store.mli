@@ -48,7 +48,9 @@ val open_ :
     files (default [VDRAM_CACHE_MAX_BYTES] when set, else uncapped);
     {!save} evicts oldest-first down to the cap.
     [quarantine_max_bytes] caps the quarantine directory the same way
-    (default [VDRAM_QUARANTINE_MAX_BYTES], else 32 MiB). *)
+    (default [VDRAM_QUARANTINE_MAX_BYTES], else 32 MiB).  Either
+    variable set to something [int_of_string_opt] rejects (say
+    [32MiB]) or to a negative number counts as unset. *)
 
 val default_dir : unit -> string
 (** [$VDRAM_CACHE_DIR] when set and non-empty, else

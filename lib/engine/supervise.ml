@@ -319,72 +319,35 @@ let pp_counters ppf c =
       (String.concat ", "
          (List.map (fun (s, n) -> Printf.sprintf "%s %d" s n) by_stage))
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let failure_to_json f =
-  Printf.sprintf
-    "    {\"batch\": %d, \"index\": %d, \"stage\": \"%s\", \"injected\": %b, \
-     \"fingerprint\": \"%s\", \"message\": \"%s\", \"elapsed_ms\": %.3f}"
-    f.batch f.index (json_escape f.stage) f.injected
-    (json_escape f.fingerprint) (json_escape f.message)
-    (float_of_int f.elapsed_ns /. 1e6)
+module Json = Vdram_json.Json
 
 let report_to_json ~command t =
   let c = counters t in
-  let fs = failures t in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"version\": 1,\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"command\": \"%s\",\n" (json_escape command));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"keep_going\": %b,\n" t.policy.keep_going);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"max_failures\": %s,\n"
-       (match t.policy.max_failures with
-        | Some m -> string_of_int m
-        | None -> "null"));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"deadline\": %s,\n"
-       (match t.policy.deadline with
-        | Some d -> Printf.sprintf "%g" d
-        | None -> "null"));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"faults\": %s,\n"
-       (match t.plan with
-        | Some p -> Printf.sprintf "\"%s\"" (json_escape (Faults.to_string p))
-        | None -> "null"));
-  Buffer.add_string buf (Printf.sprintf "  \"aborted\": %b,\n" t.abort_flag);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"counters\": {\"batches\": %d, \"failures\": %d, \"injected\": \
-        %d, \"deadline\": %d, \"rejected\": %d, \"degraded\": %d, \
-        \"by_stage\": {%s}},\n"
-       c.batches c.failures c.injected c.deadline c.rejected c.degraded
-       (String.concat ", "
-          (List.map
-             (fun (s, n) -> Printf.sprintf "\"%s\": %d" (json_escape s) n)
-             c.by_stage)));
-  (match fs with
-   | [] -> Buffer.add_string buf "  \"failures\": []\n"
-   | fs ->
-     Buffer.add_string buf "  \"failures\": [\n";
-     Buffer.add_string buf
-       (String.concat ",\n" (List.map failure_to_json fs));
-     Buffer.add_string buf "\n  ]\n");
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+  let int n = Json.Num (float n) in
+  let option f = function Some x -> f x | None -> Json.Null in
+  let lit fmt x = Json.Lit (Printf.sprintf fmt x) in
+  let failure f =
+    Json.Obj
+      [ ("batch", int f.batch); ("index", int f.index);
+        ("stage", Json.Str f.stage); ("injected", Json.Bool f.injected);
+        ("fingerprint", Json.Str f.fingerprint);
+        ("message", Json.Str f.message);
+        ("elapsed_ms", lit "%.3f" (float f.elapsed_ns /. 1e6)) ]
+  in
+  let counters =
+    Json.Obj
+      [ ("batches", int c.batches); ("failures", int c.failures);
+        ("injected", int c.injected); ("deadline", int c.deadline);
+        ("rejected", int c.rejected); ("degraded", int c.degraded);
+        ("by_stage", Json.Obj (List.map (fun (s, n) -> (s, int n)) c.by_stage))
+      ]
+  in
+  Json.to_lines
+    (Json.Obj
+       [ ("version", int 1); ("command", Json.Str command);
+         ("keep_going", Json.Bool t.policy.keep_going);
+         ("max_failures", option int t.policy.max_failures);
+         ("deadline", option (lit "%g") t.policy.deadline);
+         ("faults", option (fun p -> Json.Str (Faults.to_string p)) t.plan);
+         ("aborted", Json.Bool t.abort_flag); ("counters", counters);
+         ("failures", Json.List (List.map failure (failures t))) ])

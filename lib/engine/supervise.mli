@@ -160,4 +160,5 @@ val report_to_json : command:string -> t -> string
 (** The machine-readable failure report ([--fail-log]): version,
     command, policy, fault plan, abort flag, counters, and one record
     per failure.  Stable schema (version 1); an empty batch yields
-    ["failures": []]. *)
+    ["failures": []].  Printed by {!Vdram_json.Json.to_lines}: one
+    member per line, one failure record per line. *)

@@ -42,6 +42,7 @@ module Si = Vdram_units.Si
 module Span = Vdram_diagnostics.Span
 module D = Vdram_diagnostics.Diagnostic
 module Fix = Vdram_diagnostics.Fix
+module Json = Vdram_json.Json
 
 type slack_entry = {
   slot : int;
@@ -816,42 +817,37 @@ let pp_summary ppf s =
     s.ideal_cycles (100.0 *. s.waste)
 
 let summary_json (s : summary) =
-  let buf = Buffer.create 512 in
-  Printf.bprintf buf
-    "{\"pattern\":\"%s\",\"cycles\":%d,\"banks\":%d,\"schedulable\":%b,\
-     \"underspaced\":%d,\"utilization\":{\"command_bus\":%.6f,\
-     \"data_bus\":%.6f,\"bank_open\":%.6f},\"slack\":["
-    s.pattern s.cycles s.banks s.schedulable s.underspaced
-    s.usage.Legality.command_bus s.usage.Legality.data_bus
-    s.usage.Legality.bank_open;
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf
-        "{\"slot\":%d,\"command\":\"%s\",\"slack\":%d,\"binding\":\"%s\"}"
-        e.slot
-        (Legality.command_name e.command)
-        e.slack (kind_label e.binding))
-    s.slacks;
-  Buffer.add_string buf "],\"idle_windows\":[";
-  List.iteri
-    (fun i w ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf
-        "{\"start\":%d,\"length\":%d,\"eligible\":%b,\"savings_j\":%.6e}"
-        w.start_slot w.length w.eligible w.savings)
-    s.idle;
-  Printf.bprintf buf
-    "],\"energy_per_iteration_j\":%.6e,\"certified_floor_j\":%.6e,\
-     \"ideal_cycles\":%d,\"waste\":%.6f}"
-    s.energy s.floor s.ideal_cycles s.waste;
-  Buffer.contents buf
+  let int n = Json.Num (float n) in
+  let fixed x = Json.Lit (Printf.sprintf "%.6f" x) in
+  let sci x = Json.Lit (Printf.sprintf "%.6e" x) in
+  let slack e =
+    Json.Obj
+      [ ("slot", int e.slot);
+        ("command", Json.Str (Legality.command_name e.command));
+        ("slack", int e.slack); ("binding", Json.Str (kind_label e.binding)) ]
+  in
+  let idle w =
+    Json.Obj
+      [ ("start", int w.start_slot); ("length", int w.length);
+        ("eligible", Json.Bool w.eligible); ("savings_j", sci w.savings) ]
+  in
+  Json.Obj
+    [ ("pattern", Json.Str s.pattern); ("cycles", int s.cycles);
+      ("banks", int s.banks); ("schedulable", Json.Bool s.schedulable);
+      ("underspaced", int s.underspaced);
+      ( "utilization",
+        Json.Obj
+          [ ("command_bus", fixed s.usage.Legality.command_bus);
+            ("data_bus", fixed s.usage.Legality.data_bus);
+            ("bank_open", fixed s.usage.Legality.bank_open) ] );
+      ("slack", Json.List (List.map slack s.slacks));
+      ("idle_windows", Json.List (List.map idle s.idle));
+      ("energy_per_iteration_j", sci s.energy);
+      ("certified_floor_j", sci s.floor); ("ideal_cycles", int s.ideal_cycles);
+      ("waste", fixed s.waste) ]
 
 let to_json t =
-  let base = Lint.to_json t.report in
-  match t.summary with
-  | None -> base
-  | Some s ->
-    (* [Lint.to_json] always ends in "]}"; graft the summary in. *)
-    String.sub base 0 (String.length base - 1)
-    ^ ",\"advise\":" ^ summary_json s ^ "}"
+  match (Lint.to_json t.report, t.summary) with
+  | Json.Obj members, Some s ->
+    Json.Obj (members @ [ ("advise", summary_json s) ])
+  | json, _ -> json

@@ -89,6 +89,6 @@ val sweep_legal : Vdram_core.Pattern.t -> bool
 
 val pp_summary : Format.formatter -> summary -> unit
 
-val to_json : t -> string
-(** The {!Lint.to_json} object with an ["advise"] member grafted in
+val to_json : t -> Vdram_json.Json.t
+(** The {!Lint.to_json} object with an ["advise"] member appended
     when a summary exists. *)

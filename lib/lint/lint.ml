@@ -8,6 +8,7 @@ module Span = Vdram_diagnostics.Span
 module D = Vdram_diagnostics.Diagnostic
 module Fix = Vdram_diagnostics.Fix
 module Sarif = Vdram_diagnostics.Sarif
+module Json = Vdram_json.Json
 
 type report = {
   file : string option;
@@ -154,39 +155,12 @@ let pp_text ppf r =
     (fun d -> Format.fprintf ppf "%a@." (D.pp_rich ~source:r.source) d)
     r.diagnostics
 
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let to_json r =
-  let buf = Buffer.create 512 in
-  Buffer.add_char buf '{';
-  (match r.file with
-   | Some f ->
-     Buffer.add_string buf "\"file\":";
-     add_json_string buf f;
-     Buffer.add_char buf ','
-   | None -> ());
-  Printf.bprintf buf "\"errors\":%d,\"warnings\":%d,\"diagnostics\":["
-    (errors r) (warnings r);
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char buf ',';
-      D.to_json buf d)
-    r.diagnostics;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let int n = Json.Num (float n) in
+  Json.Obj
+    ((match r.file with Some f -> [ ("file", Json.Str f) ] | None -> [])
+    @ [ ("errors", int (errors r)); ("warnings", int (warnings r));
+        ("diagnostics", Json.List (List.map D.to_json r.diagnostics)) ])
 
 (* ----- fix-its and machine formats --------------------------------- *)
 

@@ -38,7 +38,7 @@ val pp_text : Format.formatter -> report -> unit
 (** Compiler-style rendering of every diagnostic, with source excerpts
     and caret underlines. *)
 
-val to_json : report -> string
+val to_json : report -> Vdram_json.Json.t
 (** One JSON object:
     [{"file":...,"errors":N,"warnings":M,"diagnostics":[...]}]. *)
 

@@ -305,21 +305,24 @@ let test_certificate_json () =
     Certificate.v ~config:cfg ~pattern ~box ~splits:2 ~bounds
       ~monotonicity:mono ()
   in
-  let json = Certificate.to_json cert in
-  let mentions needle =
-    let nl = String.length needle and hl = String.length json in
-    let rec go i =
-      i + nl <= hl && (String.sub json i nl = needle || go (i + 1))
+  let module Json = Vdram_json.Json in
+  match Json.parse (Certificate.to_json cert) with
+  | Error e -> Alcotest.failf "certificate JSON does not parse: %s" e
+  | Ok json ->
+    List.iter
+      (fun key ->
+        Helpers.check_true
+          (Printf.sprintf "certificate JSON has %s" key)
+          (Json.mem key json <> None))
+      [ "certificate_version"; "monotonicity"; "bounds"; "model_version";
+        "axes" ];
+    (* %.17g reads back as the exact double certified. *)
+    let lo =
+      List.fold_left (fun j k -> Option.bind j (Json.mem k)) (Some json)
+        [ "bounds"; "power"; "lo" ]
     in
-    go 0
-  in
-  List.iter
-    (fun needle ->
-      Helpers.check_true
-        (Printf.sprintf "certificate JSON mentions %s" needle)
-        (mentions needle))
-    [ "certificate_version"; "monotonicity"; "bounds"; "power";
-      "model_version"; "axes" ]
+    Alcotest.(check (option (float 0.))) "power bound round-trips"
+      (Some (bounds.Bounds.power : I.t).lo) (Option.bind lo Json.num)
 
 (* ----- monotonicity ------------------------------------------------ *)
 

@@ -247,7 +247,7 @@ let test_fixture_golden_text () =
 let test_fixture_json () =
   if Sys.file_exists fixture then begin
     let r = Lint.run_file fixture in
-    let json = Lint.to_json r in
+    let json = Vdram_json.Json.to_string (Lint.to_json r) in
     List.iter
       (fun part ->
         Helpers.check_true (part ^ " in JSON") (contains json part))

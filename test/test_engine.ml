@@ -420,8 +420,29 @@ let store_retry_quarantine () =
          (Sys.readdir qdir));
   Store.clear h
 
+(* [Store.open_]'s byte cap under each value of [var]; the old value
+   is put back after (an unset variable comes back as "", which the
+   store treats as unset). *)
+let env_caps var cap values =
+  let module Store = Vdram_engine.Store in
+  let old = Option.value ~default:"" (Sys.getenv_opt var) in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv var old)
+    (fun () ->
+      List.map
+        (fun value ->
+          Unix.putenv var value;
+          cap (Store.open_ ~dir:store_dir ~version:"env" ()))
+        values)
+
 let store_eviction_roundtrip () =
   let module Store = Vdram_engine.Store in
+  (* A malformed or negative VDRAM_CACHE_MAX_BYTES counts as unset:
+     uncapped, never a cap that evicts everything. *)
+  Alcotest.(check (list (option int))) "VDRAM_CACHE_MAX_BYTES"
+    [ None; None; None; None; Some 20000; Some 0 ]
+    (env_caps "VDRAM_CACHE_MAX_BYTES" Store.max_bytes
+       [ ""; "32MiB"; "-1"; "garbage"; "20000"; "0" ]);
   let dir =
     Filename.concat (Filename.get_temp_dir_name ()) "vdram-test-evict"
   in
@@ -456,6 +477,13 @@ let store_eviction_roundtrip () =
 
 let store_quarantine_cap () =
   let module Store = Vdram_engine.Store in
+  (* A malformed or negative VDRAM_QUARANTINE_MAX_BYTES counts as
+     unset: the 32 MiB default, neither uncapped nor negative. *)
+  let default = Some (32 * 1024 * 1024) in
+  Alcotest.(check (list (option int))) "VDRAM_QUARANTINE_MAX_BYTES"
+    [ default; default; default; default; Some 4096; Some 0 ]
+    (env_caps "VDRAM_QUARANTINE_MAX_BYTES" Store.quarantine_max_bytes
+       [ ""; "32MiB"; "-1"; "garbage"; "4096"; "0" ]);
   let dir =
     Filename.concat (Filename.get_temp_dir_name ()) "vdram-test-qcap"
   in
@@ -789,35 +817,28 @@ let fail_log_schema () =
   in
   ignore (Supervise.map sup engine (fun c -> Engine.eval engine c p) cfgs);
   let json = Supervise.report_to_json ~command:"test" sup in
-  let has sub =
-    let n = String.length json and m = String.length sub in
-    let rec go i =
-      i + m <= n && (String.sub json i m = sub || go (i + 1))
-    in
+  let has log sub =
+    let n = String.length log and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub log i m = sub || go (i + 1)) in
     go 0
   in
+  Helpers.check_true "fail log parses"
+    (Result.is_ok (Vdram_json.Json.parse json));
   List.iter
     (fun needle ->
       Helpers.check_true (Printf.sprintf "fail log carries %s" needle)
-        (has needle))
+        (has json needle))
     [ "\"version\": 1"; "\"command\": \"test\""; "\"keep_going\": true";
       "\"faults\": \"seed=11,rate=0.1,raise=mix\""; "\"aborted\": false";
       "\"stage\": \"mix\""; "\"injected\": true"; "\"fingerprint\"";
       "\"elapsed_ms\"" ];
   Helpers.check_true "no spurious non-injected failures"
-    (not (has "\"injected\": false"));
+    (not (has json "\"injected\": false"));
   let clean = quiet () in
   ignore
     (Supervise.map clean engine (fun c -> Engine.eval engine c p) cfgs);
-  let empty = Supervise.report_to_json ~command:"test" clean in
   Helpers.check_true "clean run reports an empty failure array"
-    (let n = String.length empty in
-     let sub = "\"failures\": []" in
-     let m = String.length sub in
-     let rec go i =
-       i + m <= n && (String.sub empty i m = sub || go (i + 1))
-     in
-     go 0)
+    (has (Supervise.report_to_json ~command:"test" clean) "\"failures\": []")
 
 (* ----- drivers: serial vs parallel ----------------------------------- *)
 

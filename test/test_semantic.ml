@@ -526,168 +526,26 @@ let test_examples_bank_legal () =
 
 (* ----- SARIF ------------------------------------------------------- *)
 
-(* A tiny JSON reader — just enough to check the SARIF output is
-   well-formed and structurally a 2.1.0 log.  No external deps. *)
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
+module Json = Vdram_json.Json
 
-exception Bad_json of string
+let parse s =
+  match Json.parse s with Ok j -> j | Error e -> Alcotest.failf "bad JSON: %s" e
 
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if peek () = Some c then advance () else fail (Printf.sprintf "expected %c" c)
-  in
-  let literal lit v =
-    String.iter (fun c -> expect c) lit;
-    v
-  in
-  let string_lit () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-         | Some 'u' ->
-           advance ();
-           let hex = String.sub s !pos 4 in
-           pos := !pos + 4;
-           Buffer.add_string b (Printf.sprintf "\\u%s" hex);
-           go ()
-         | Some c ->
-           advance ();
-           Buffer.add_char b
-             (match c with
-              | 'n' -> '\n'
-              | 't' -> '\t'
-              | 'r' -> '\r'
-              | 'b' -> '\b'
-              | 'f' -> '\012'
-              | c -> c);
-           go ()
-         | None -> fail "bad escape")
-      | Some c ->
-        advance ();
-        Buffer.add_char b c;
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let number () =
-    let start = !pos in
-    let numchar = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> numchar c | None -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let k = string_lit () in
-          skip_ws ();
-          expect ':';
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((k, v) :: acc)
-          | Some '}' ->
-            advance ();
-            Obj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected , or }"
-        in
-        members []
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        Arr []
-      end
-      else begin
-        let rec elements acc =
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            Arr (List.rev (v :: acc))
-          | _ -> fail "expected , or ]"
-        in
-        elements []
-      end
-    | Some '"' -> Str (string_lit ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (number ())
-    | None -> fail "unexpected end"
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+(* [at j path] follows object members down [path], failing the test
+   on a missing one; [get acc j path] then applies the [Json] accessor
+   [acc] and fails on a type mismatch. *)
+let at j path =
+  match
+    List.fold_left (fun j k -> Option.bind j (Json.mem k)) (Some j) path
+  with
+  | Some v -> v
+  | None -> Alcotest.failf "no member %s" (String.concat "." path)
 
-let member k = function
-  | Obj fields ->
-    (match List.assoc_opt k fields with
-     | Some v -> v
-     | None -> raise (Bad_json ("missing member " ^ k)))
-  | _ -> raise (Bad_json ("not an object looking up " ^ k))
-
-let as_str = function
-  | Str s -> s
-  | _ -> raise (Bad_json "expected string")
-
-let as_arr = function
-  | Arr l -> l
-  | _ -> raise (Bad_json "expected array")
-
-let as_num = function
-  | Num f -> f
-  | _ -> raise (Bad_json "expected number")
+let get acc j path =
+  match acc (at j path) with
+  | Some v -> v
+  | None ->
+    Alcotest.failf "member %s has the wrong type" (String.concat "." path)
 
 let test_sarif_structure () =
   (* The SARIF log must be well-formed JSON and satisfy the 2.1.0
@@ -699,22 +557,18 @@ let test_sarif_structure () =
   let r2 =
     Lint.run ~file:"b.dram" (fp_base "Command wires=4 start=1_2 end=1_2")
   in
-  let log = Lint.to_sarif [ r1; r2 ] in
-  let j = parse_json log in
-  Alcotest.(check string) "version" "2.1.0" (as_str (member "version" j));
+  let j = parse (Lint.to_sarif [ r1; r2 ]) in
+  Alcotest.(check string) "version" "2.1.0" (get Json.str j [ "version" ]);
   Helpers.check_true "schema URI names 2.1.0"
-    (contains (as_str (member "$schema" j)) "sarif-schema-2.1.0");
-  (match as_arr (member "runs" j) with
+    (contains (get Json.str j [ "$schema" ]) "sarif-schema-2.1.0");
+  (match get Json.list_ j [ "runs" ] with
    | [ run ] ->
-     let driver = member "driver" (member "tool" run) in
      Alcotest.(check string) "tool name" "vdram lint"
-       (as_str (member "name" driver));
-     let rules = as_arr (member "rules" driver) in
-     let rule_ids =
-       List.map (fun r -> as_str (member "id" r)) rules
-     in
+       (get Json.str run [ "tool"; "driver"; "name" ]);
+     let rules = get Json.list_ run [ "tool"; "driver"; "rules" ] in
+     let rule_ids = List.map (fun r -> get Json.str r [ "id" ]) rules in
      Helpers.check_true "rules declared" (rules <> []);
-     let results = as_arr (member "results" run) in
+     let results = get Json.list_ run [ "results" ] in
      let expected =
        List.length r1.Lint.diagnostics + List.length r2.Lint.diagnostics
      in
@@ -722,46 +576,69 @@ let test_sarif_structure () =
        (List.length results);
      List.iter
        (fun res ->
-         let rule_id = as_str (member "ruleId" res) in
+         let rule_id = get Json.str res [ "ruleId" ] in
          Helpers.check_true (rule_id ^ " indexed in rules")
            (List.mem rule_id rule_ids);
-         let idx = int_of_float (as_num (member "ruleIndex" res)) in
          Alcotest.(check string) "ruleIndex points at its rule" rule_id
-           (List.nth rule_ids idx);
+           (List.nth rule_ids (get Json.int_ res [ "ruleIndex" ]));
          Helpers.check_true "level is a schema value"
            (List.mem
-              (as_str (member "level" res))
+              (get Json.str res [ "level" ])
               [ "error"; "warning"; "note" ]);
          Helpers.check_true "message text present"
-           (as_str (member "text" (member "message" res)) <> "");
-         match as_arr (member "locations" res) with
+           (get Json.str res [ "message"; "text" ] <> "");
+         match get Json.list_ res [ "locations" ] with
          | [ loc ] ->
-           let phys = member "physicalLocation" loc in
-           let uri =
-             as_str (member "uri" (member "artifactLocation" phys))
-           in
            Helpers.check_true "uri is one of the inputs"
-             (List.mem uri [ "a.dram"; "b.dram" ]);
-           let region = member "region" phys in
+             (List.mem
+                (get Json.str loc
+                   [ "physicalLocation"; "artifactLocation"; "uri" ])
+                [ "a.dram"; "b.dram" ]);
+           let region = at loc [ "physicalLocation"; "region" ] in
            Helpers.check_true "startLine is 1-based"
-             (as_num (member "startLine" region) >= 1.0);
+             (get Json.num region [ "startLine" ] >= 1.0);
            Helpers.check_true "columns ordered"
-             (as_num (member "endColumn" region)
-              >= as_num (member "startColumn" region))
+             (get Json.num region [ "endColumn" ]
+              >= get Json.num region [ "startColumn" ])
          | _ -> Alcotest.fail "expected one location per result")
        results;
      (* Fix-carrying diagnostics surface as SARIF fixes. *)
-     let with_fixes =
-       List.filter
-         (fun res ->
-           match res with
-           | Obj fields -> List.mem_assoc "fixes" fields
-           | _ -> false)
-         results
-     in
      Helpers.check_true "at least one result carries fixes"
-       (with_fixes <> [])
+       (List.exists (fun res -> Json.mem "fixes" res <> None) results)
    | _ -> Alcotest.fail "expected exactly one run")
+
+let test_control_byte_file_name () =
+  (* Every emitter spells a control byte the one way the JSON module
+     does: 0x08, 0x0C and 0x0D in a file name print as \b, \f and \r,
+     and every "file" and "uri" member parses back to the name. *)
+  let file = "ctl\b\012\rname.dram" in
+  let r =
+    Lint.run ~file (In_channel.with_open_text fixable In_channel.input_all)
+  in
+  let rec members key = function
+    | Json.Obj ms ->
+      List.concat_map
+        (fun (k, v) -> (if k = key then [ v ] else []) @ members key v)
+        ms
+    | Json.List vs -> List.concat_map (members key) vs
+    | _ -> []
+  in
+  List.iter
+    (fun (doc, key) ->
+      List.iter
+        (fun escape ->
+          Helpers.check_true
+            (Printf.sprintf "no %s in the %s document" escape key)
+            (not (contains doc escape)))
+        [ "\\u0008"; "\\u000c"; "\\u000d" ];
+      let names = members key (parse doc) in
+      Helpers.check_true ("some " ^ key ^ " member") (names <> []);
+      List.iter
+        (fun v ->
+          Alcotest.(check (option string))
+            (key ^ " parses back to the name") (Some file) (Json.str v))
+        names)
+    [ (Json.to_string (Lint.to_json r), "file"); (Lint.to_sarif [ r ], "uri") ]
 
 (* ----- multi-line fix-its ------------------------------------------ *)
 
@@ -806,11 +683,10 @@ let test_fix_multiline_render () =
   let d =
     D.warningf ~code:"V0902" ~span:(span 1 1 6) ~fixes:[ fx ] "collapse"
   in
-  let buf = Buffer.create 64 in
-  D.to_json buf d;
-  let j = Buffer.contents buf in
   Helpers.check_true "fix JSON carries end_line"
-    (contains j "\"end_line\":2");
+    (List.exists
+       (fun fix -> Json.mem "end_line" fix = Some (Json.Num 2.))
+       (get Json.list_ (D.to_json d) [ "fixes" ]));
   let report =
     {
       Lint.file = Some "f.dram";
@@ -982,6 +858,8 @@ let suite =
       test_four_activate_window;
     Alcotest.test_case "examples bank-legal" `Quick test_examples_bank_legal;
     Alcotest.test_case "SARIF structure" `Quick test_sarif_structure;
+    Alcotest.test_case "control bytes in a file name" `Quick
+      test_control_byte_file_name;
     Alcotest.test_case "exit codes" `Quick test_exit_code_contract;
     Alcotest.test_case "front-end dedup" `Quick test_dedup;
   ]

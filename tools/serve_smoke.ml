@@ -13,7 +13,7 @@
    failures; SIGTERM drains to exit 0, unlinks the socket and flushes
    the persistent store.  Exits 1 on the first violated assertion. *)
 
-module Json = Vdram_serve.Json
+module Json = Vdram_json.Json
 module Faults = Vdram_engine.Faults
 
 let daemon_pid = ref None
@@ -238,7 +238,10 @@ let () =
      partial results, and the flights coalesce. *)
   let n = 8 in
   let req =
-    Printf.sprintf {|{"id":"c","op":"corners","samples":%d}|} samples
+    Json.to_string
+      (Json.Obj
+         [ ("id", Json.Str "c"); ("op", Json.Str "corners");
+           ("samples", Json.Num (float samples)) ])
   in
   let results = Array.make n None in
   let threads =
