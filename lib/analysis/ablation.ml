@@ -18,14 +18,14 @@ type point = {
   array_efficiency : float;
 }
 
-let measure ?base ~engine ~label cfg =
-  let r = Engine.eval ?base engine cfg (Pattern.idd7_mixed cfg.Config.spec) in
+let measure ~base ~engine ~label cfg =
+  let r = Engine.eval ~base engine cfg (Pattern.idd7_mixed cfg.Config.spec) in
   let g = Engine.geometry engine cfg in
   {
     label;
     power = r.Report.power;
     energy_per_bit = Option.value ~default:0.0 r.Report.energy_per_bit;
-    activate_energy = Engine.op_energy ?base engine cfg Operation.Activate;
+    activate_energy = Engine.op_energy ~base engine cfg Operation.Activate;
     die_area = g.Engine.die_area;
     array_efficiency = g.Engine.array_efficiency;
   }
@@ -44,15 +44,6 @@ let point_check p =
    cheap — then fans the model evaluations out on the pool.  Under
    supervision a failed variant is dropped from the listing and
    recorded on the supervisor. *)
-let measure_all ?supervisor ?base ~engine variants =
-  (match base with
-  | Some b -> ignore (Engine.extraction engine b)
-  | None -> ());
-  Supervise.map_jobs ?supervisor engine ~check:point_check
-    (fun (label, cfg) -> measure ?base ~engine ~label cfg)
-    variants
-  |> List.filter_map (function Supervise.Done p -> Some p | _ -> None)
-
 let build ?engine ?supervisor ~node f =
   let engine =
     match engine with Some e -> e | None -> Engine.serial ()
@@ -63,10 +54,13 @@ let build ?engine ?supervisor ~node f =
           ?prefetch ~node ())
   in
   (* Every variant is the commodity configuration at [node] with one
-     design choice changed: warm the unmodified configuration's
-     extraction and splice each variant's untouched circuit groups
-     from it. *)
-  measure_all ?supervisor ~base:(Config.commodity ~node ()) ~engine variants
+     design choice changed: extract the unmodified configuration and
+     splice each variant's untouched circuit groups from it. *)
+  let base = Engine.extraction engine (Config.commodity ~node ()) in
+  Supervise.map_jobs ?supervisor engine ~check:point_check
+    (fun (label, cfg) -> measure ~base ~engine ~label cfg)
+    variants
+  |> List.filter_map (function Supervise.Done p -> Some p | _ -> None)
 
 let page_size ?engine ?supervisor ~node ~pages () =
   build ?engine ?supervisor ~node (fun make ->

@@ -68,14 +68,15 @@ let run ?engine ?supervisor ?(samples = 200) ?(spread = 0.10) ?(seed = 1)
   let check i =
     if Float.is_finite i then None else Some "non-finite current"
   in
-  (* Warm the seed configuration's extraction, then offer it as the
+  (* Evaluate the seed configuration, then use its extraction as the
      delta base: a draw perturbs many lenses, but the groups none of
      them reach (and all supply-energy terms when only efficiencies
      moved) still splice from the seed. *)
   ignore (Engine.current engine cfg pattern);
+  let base = Engine.extraction engine cfg in
   let outcomes =
     Supervise.map_jobs ?supervisor engine ~check
-      (fun c -> Engine.current ~base:cfg engine c pattern)
+      (fun c -> Engine.current ~base engine c pattern)
       configs
   in
   (* Under supervision a failed draw is excluded from the statistics

@@ -49,11 +49,12 @@ let run ?engine ?supervisor ?(variation = 0.20) ?(lenses = default_lenses)
     if Float.is_finite p then None else Some "non-finite power"
   in
   (* Every perturbed configuration is one lens away from [cfg], whose
-     extraction the nominal evaluation above just cached: offering it
-     as the delta base re-extracts only the lens's dirty groups. *)
+     extraction the nominal evaluation above just cached: as the delta
+     base it re-extracts only the lens's dirty groups. *)
+  let base = Engine.extraction engine cfg in
   let powers =
     Supervise.map_jobs ?supervisor engine ~check
-      (fun c -> Engine.power ~base:cfg engine c pattern)
+      (fun c -> Engine.power ~base engine c pattern)
       perturbed
   in
   (* Each lens owns two consecutive batch slots (+variation then

@@ -32,11 +32,11 @@ let run ?engine ?supervisor ~lens ~values ?pattern cfg =
   (* Warm the nominal extraction, then sweep with it as the delta
      base: every point differs from [cfg] in one lens, so only that
      lens's dirty groups re-extract per point. *)
-  ignore (Engine.extraction engine cfg);
+  let base = Engine.extraction engine cfg in
   let outcomes =
     Supervise.map_jobs ?supervisor engine ~check:Supervise.finite_report
       (fun value ->
-        Engine.eval ~base:cfg engine (lens.Lenses.set cfg value) pattern)
+        Engine.eval ~base engine (lens.Lenses.set cfg value) pattern)
       values
   in
   (* Under supervision a failed point just leaves a gap in the curve;

@@ -472,44 +472,6 @@ type delta_outcome = {
 
 exception Splice_mismatch
 
-(* The base configuration's geometry, memoized per domain on the
-   physical identity of the base's stored projection: a batch deltas
-   thousands of perturbed items against one base, and the base side of
-   the probe's geometry comparison should not re-derive the floorplan
-   per item.  Value-correct because [Config.geometry] is a pure
-   function of the configuration. *)
-let base_geom_memo :
-    (Config.t * Vdram_floorplan.Array_geometry.t) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let base_geometry (proj : Config.t) =
-  match Domain.DLS.get base_geom_memo with
-  | Some (c, g) when c == proj -> g
-  | _ ->
-    let g = Config.geometry proj in
-    Domain.DLS.set base_geom_memo (Some (proj, g));
-    g
-
-(* The probe's geometry comparison, memoized on the physical
-   identities of the base's projection and the candidate record: the
-   engine's geometry stage hands every geometry-invariant item of a
-   batch the same cached record, so the structural walk over the
-   eleven-field geometry runs once per (base, record) pair instead of
-   once per item.  Identity keys make staleness impossible — a
-   different record is a different key. *)
-let base_geom_eq_memo :
-    (Config.t * Vdram_floorplan.Array_geometry.t * bool) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let base_geometry_eq (proj : Config.t) gb =
-  match Domain.DLS.get base_geom_eq_memo with
-  | Some (c, g, eq) when c == proj && g == gb -> eq
-  | _ ->
-    let ga = base_geometry proj in
-    let eq = ga == gb || ga = gb in
-    Domain.DLS.set base_geom_eq_memo (Some (proj, gb, eq));
-    eq
-
 let extract_delta ?activated_bits ?geometry ~base (cfg : Config.t) =
   let d = cfg.Config.domains in
   let bits = resolve_bits ?activated_bits cfg in
@@ -517,7 +479,14 @@ let extract_delta ?activated_bits ?geometry ~base (cfg : Config.t) =
   let gb =
     match geometry with Some g -> g | None -> Config.geometry cfg
   in
-  let geometry_eq = base_geometry_eq base.proj gb in
+  (* [Config.geometry] is a field read, so the base side needs no
+     memo; a perturbation that leaves the floorplan alone usually
+     shares the very record, and [==] settles it before the
+     structural walk. *)
+  let geometry_eq =
+    let ga = Config.geometry base.proj in
+    ga == gb || ga = gb
+  in
   let dirty_mask =
     dirty_groups ~base_bits:base.proj_bits ~bits ~geometry_eq base.proj cfg
   in
@@ -661,9 +630,7 @@ let background_power_staged ex (cfg : Config.t) =
   +. receiver_bias_power cfg
 
 (* Dense command counts of one loop iteration, [Operation.index]
-   order.  [Nop] stays zero: its energy is the background floor.  The
-   staged engine memoizes this vector per pattern so batched drivers
-   compute it once and reuse it across thousands of configurations. *)
+   order.  [Nop] stays zero: its energy is the background floor. *)
 let op_count_vector pattern =
   let v = Array.make Operation.n 0.0 in
   v.(Operation.index Operation.Activate) <-
@@ -686,13 +653,11 @@ let op_count_vector pattern =
    walk skipped them, so the float operation sequence is unchanged.
    Only the ordering of exact ties in the breakdown listing may differ
    from the hash-table formulation this kernel replaced. *)
-let pattern_power_staged ?counts ex (cfg : Config.t) pattern =
+let pattern_power_staged ex (cfg : Config.t) pattern =
   let spec = cfg.Config.spec in
   let d = cfg.Config.domains in
   let loop_time = loop_time spec pattern in
-  let counts =
-    match counts with Some v -> v | None -> op_count_vector pattern
-  in
+  let counts = op_count_vector pattern in
   let background = background_power_staged ex cfg in
   let op_power = ref 0.0 in
   for i = 0 to Operation.n - 1 do

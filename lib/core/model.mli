@@ -131,18 +131,11 @@ val extraction_energy : extraction -> Operation.kind -> float
 val background_power_staged : extraction -> Config.t -> float
 (** {!background_power} from a prior extraction. *)
 
-val op_count_vector : Pattern.t -> float array
-(** Dense command counts of one loop iteration, [Operation.index]
-    order; [Nop] stays zero.  The staged engine memoizes this per
-    pattern and feeds it back through [?counts] below. *)
-
-val pattern_power_staged :
-  ?counts:float array -> extraction -> Config.t -> Pattern.t -> Report.t
+val pattern_power_staged : extraction -> Config.t -> Pattern.t -> Report.t
 (** The pattern-mix stage: {!pattern_power} from a prior extraction,
     as a flat array kernel over the extraction's dense per-label
     terms.  Bit-identical to {!pattern_power} on the same
-    configuration (breakdown ties may list in a different order).
-    [counts] must be {!op_count_vector}[ pattern] when given. *)
+    configuration (breakdown ties may list in a different order). *)
 
 val pattern_power : Config.t -> Pattern.t -> Report.t
 (** Average power of a continuously repeating command loop:

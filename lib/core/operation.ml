@@ -142,7 +142,10 @@ let ctx ?activated_bits ?geometry (cfg : Config.t) =
    base, so every [ctx] of the sweep reuses the very same strings
    instead of re-concatenating them — and delta-extraction's
    label-lockstep check against the base's labels short-circuits on
-   physical equality instead of comparing characters. *)
+   physical equality instead of comparing characters.  Without it (and
+   the engine's pattern-fingerprint memo) batch_sweep and batch_corners
+   lost 2-4% of their item throughput on the benchmark ledger
+   (doc/ENGINE.md, "Earn-its-keep audit"). *)
 let logic_labels_memo : (Logic_block.t list * string array) option Domain.DLS.key
     =
   Domain.DLS.new_key (fun () -> None)

@@ -59,7 +59,7 @@ type counters = {
 let counters () =
   { hits = Atomic.make 0; misses = Atomic.make 0; time_ns = Atomic.make 0 }
 
-(* Delta-extraction counters: attempts that found a cached base,
+(* Delta-extraction counters: misses extracted against a base,
    full-extract fallbacks (structural splice mismatch), spliced clean
    groups, and per-group dirty counts indexed by [C.group_index]. *)
 type delta_counters = {
@@ -212,20 +212,25 @@ let flush_store t =
 
 (* ----- fingerprint keys -------------------------------------------- *)
 
-(* A fingerprint is computed once per value and reused across every
-   stage lookup it feeds.  The memo is domain-local and keyed on
-   physical identity: all stage lookups for one configuration (mix ->
-   extraction -> geometry, op_energy after eval, ...) arrive with the
-   same immutable [Config.t] in hand, so one marshal serves them all.
-   Patterns repeat across whole batches (every sample of a corners run
-   shares the pattern value), so their memo hits almost always. *)
+(* Two domain-local memos keyed on physical identity remember the last
+   value fingerprinted, so one marshal serves every lookup that arrives
+   with the same immutable value in hand.  Each stays because removing
+   it cost an end-to-end number on the benchmark ledger (doc/ENGINE.md,
+   "Earn-its-keep audit").
 
+   Configurations: serve's [Render.power] evaluates one configuration
+   against six patterns and then the request's own, and a mix miss
+   looks the same configuration up again for extraction.  Without the
+   memo every eval marshals the configuration again, and each mix key
+   holds its own copy of the ~2.4 KB witness: serve_mixed's p50 latency
+   and peak memory both rose about 5%. *)
 let cfg_fp_memo : (Config.t * Fp.t) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-let geom_fp_memo : (Config.t * Fp.t) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
+(* Patterns: every item of a batch shares one pattern value, so this
+   hits for every item after the first.  Without it (and Operation's
+   logic-label memo) batch_sweep and batch_corners lost 2-4% of their
+   item throughput. *)
 let pat_fp_memo : (Pattern.t * Fp.t) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
@@ -237,16 +242,6 @@ let config_fp (cfg : Config.t) =
     Domain.DLS.set cfg_fp_memo (Some (cfg, fp));
     fp
 
-let geometry_fp (cfg : Config.t) =
-  match Domain.DLS.get geom_fp_memo with
-  | Some (c, fp) when c == cfg -> fp
-  | _ ->
-    let fp =
-      Fp.of_value (cfg.Config.floorplan, cfg.Config.activation_fraction)
-    in
-    Domain.DLS.set geom_fp_memo (Some (cfg, fp));
-    fp
-
 let pattern_fp (p : Pattern.t) =
   match Domain.DLS.get pat_fp_memo with
   | Some (q, fp) when q == p -> fp
@@ -254,35 +249,6 @@ let pattern_fp (p : Pattern.t) =
     let fp = Fp.of_value p in
     Domain.DLS.set pat_fp_memo (Some (p, fp));
     fp
-
-(* The delta path fingerprints the *base* configuration on every
-   perturbed item, so it gets its own memo slot: the perturbed
-   configurations churn through [cfg_fp_memo] while the base — shared
-   by the whole batch — stays memoized here. *)
-let base_fp_memo : (Config.t * Fp.t) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let base_fp (cfg : Config.t) =
-  match Domain.DLS.get base_fp_memo with
-  | Some (c, fp) when c == cfg -> fp
-  | _ ->
-    let fp = Fp.of_value (Model.physics_projection cfg) in
-    Domain.DLS.set base_fp_memo (Some (cfg, fp));
-    fp
-
-(* Dense per-pattern command counts for the flat mix kernel, computed
-   once per pattern per domain — batches share one pattern value, so
-   this hits for every item after the first. *)
-let pat_counts_memo : (Pattern.t * float array) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let pattern_counts (p : Pattern.t) =
-  match Domain.DLS.get pat_counts_memo with
-  | Some (q, v) when q == p -> v
-  | _ ->
-    let v = Model.op_count_vector p in
-    Domain.DLS.set pat_counts_memo (Some (p, v));
-    v
 
 (* ----- stages ------------------------------------------------------ *)
 
@@ -333,7 +299,10 @@ let guard stage f =
 let geometry t (cfg : Config.t) =
   Faults.stage_hook Faults.Geometry;
   guard "geometry" (fun () ->
-      cached t.geom_cache t.geom_c (geometry_fp cfg) (fun () ->
+      let fp =
+        Fp.of_value (cfg.Config.floorplan, cfg.Config.activation_fraction)
+      in
+      cached t.geom_cache t.geom_c fp (fun () ->
           {
             geometry = Config.geometry cfg;
             page_bits = Config.page_bits cfg;
@@ -341,37 +310,6 @@ let geometry t (cfg : Config.t) =
             die_area = Floorplan.die_area cfg.Config.floorplan;
             array_efficiency = Floorplan.array_efficiency cfg.Config.floorplan;
           }))
-
-(* A raw cache probe: find without computing, for base-extraction
-   lookups on the delta path.  No hook fires and no counter moves —
-   the probe is not a stage entry, so supervision semantics (which
-   items fault) are identical with delta on or off. *)
-let cache_find cache fp =
-  let s = shard_of cache fp in
-  Mutex.lock s.lock;
-  let found = Fp_tbl.find_opt s.tbl fp in
-  Mutex.unlock s.lock;
-  found
-
-(* The base extraction is likewise memoized per domain on physical
-   identity: a batch offers one base for thousands of items, so the
-   fingerprint and shard probe should run once, not per item.
-   Value-correct across engines sharing a domain because extraction is
-   a pure function of the configuration's physics projection — any
-   memoized record for this identical value is bit-identical to what a
-   fresh probe would find or a full extract would compute. *)
-let base_ex_memo : (Config.t * Model.extraction) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let base_extraction t (b : Config.t) =
-  match Domain.DLS.get base_ex_memo with
-  | Some (c, ex) when c == b -> Some ex
-  | _ ->
-    (match cache_find t.ext_cache (base_fp b) with
-    | Some ex ->
-      Domain.DLS.set base_ex_memo (Some (b, ex));
-      Some ex
-    | None -> None)
 
 let record_delta t (o : Model.delta_outcome) =
   Atomic.incr t.delta_c.attempts;
@@ -383,15 +321,14 @@ let record_delta t (o : Model.delta_outcome) =
       o.Model.dirtied
   end
 
-(* [base] offers a configuration whose extraction is likely cached
-   (the nominal point of a sensitivity sweep, the seed of a corners
-   draw): on a miss, the extraction stage re-extracts only the circuit
-   groups whose per-group sub-key differs from the base's and splices
-   the rest.  Purely an access-path optimization — the spliced record
-   is bit-identical to a full extraction, so the cache content does
-   not depend on how it was computed.  If the base extraction is not
-   cached (or delta is disabled on the engine) the stage silently runs
-   the full extraction. *)
+(* [base] is the extraction of a configuration the evaluated one is a
+   small perturbation of (the nominal point of a sensitivity sweep, the
+   seed of a corners draw): on a miss, the stage re-extracts only the
+   circuit groups whose per-group sub-key differs from the base's and
+   splices the rest.  Purely an access-path optimization — the spliced
+   record is bit-identical to a full extraction, whatever device the
+   base came from, so the cache content does not depend on how it was
+   computed.  A [~delta:false] engine ignores [base]. *)
 let extraction ?base t (cfg : Config.t) =
   Faults.stage_hook Faults.Extraction;
   guard "extraction" (fun () ->
@@ -409,21 +346,16 @@ let extraction ?base t (cfg : Config.t) =
            before starting extraction's clock so the per-stage time
            attributions stay disjoint. *)
         let g = geometry t cfg in
-        let from_base =
-          match base with
-          | Some b when t.delta && b != cfg -> base_extraction t b
-          | _ -> None
-        in
         let t0 = Monotonic_clock.now () in
         let v, outcome =
-          match from_base with
-          | Some bex ->
+          match base with
+          | Some base when t.delta ->
             let ex, o =
               Model.extract_delta ~activated_bits:g.activated_bits
-                ~geometry:g.geometry ~base:bex cfg
+                ~geometry:g.geometry ~base cfg
             in
             (ex, Some o)
-          | None ->
+          | _ ->
             ( Model.extract ~activated_bits:g.activated_bits
                 ~geometry:g.geometry cfg,
               None )
@@ -444,11 +376,8 @@ let eval ?base t (cfg : Config.t) pattern =
       let r =
         cached t.mix_cache t.mix_c fp (fun () ->
             let ex = extraction ?base t cfg in
-            let r =
-              Model.pattern_power_staged ~counts:(pattern_counts pattern) ex
-                cfg pattern
-            in
-            { r with Report.config_name = "" })
+            { (Model.pattern_power_staged ex cfg pattern) with
+              Report.config_name = "" })
       in
       { r with Report.config_name = cfg.Config.name })
 
@@ -504,25 +433,6 @@ let stats t =
     mix_stats = stage_stats t.mix_c;
     delta_stats = delta_stats t.delta_c;
   }
-
-let reset_counters (c : counters) =
-  Atomic.set c.hits 0;
-  Atomic.set c.misses 0;
-  Atomic.set c.time_ns 0
-
-let reset_stats t =
-  reset_counters t.geom_c;
-  reset_counters t.ext_c;
-  reset_counters t.mix_c;
-  (* Dirty tracking follows the miss counters: after a reset the next
-     flush must re-examine both stages rather than compare against a
-     stale high-water mark. *)
-  Atomic.set t.flushed_ext 0;
-  Atomic.set t.flushed_mix 0;
-  Atomic.set t.delta_c.attempts 0;
-  Atomic.set t.delta_c.fallbacks 0;
-  Atomic.set t.delta_c.spliced 0;
-  Array.iter (fun a -> Atomic.set a 0) t.delta_c.dirtied
 
 let pp_stage ppf (name, s) =
   Format.fprintf ppf "%-10s %6d hit %6d miss  %8.3f ms" name s.hits s.misses

@@ -93,23 +93,25 @@ val geometry : t -> Vdram_core.Config.t -> geometry
     activation fraction — the only configuration fields it reads. *)
 
 val extraction :
-  ?base:Vdram_core.Config.t ->
+  ?base:Vdram_core.Model.extraction ->
   t ->
   Vdram_core.Config.t ->
   Vdram_core.Model.extraction
 (** Capacitance-extraction stage ({!Vdram_core.Model.extract}).  Keyed
     on {!Vdram_core.Model.physics_projection} — every field except
-    [name].  [base] names a configuration the evaluated one is a small
-    perturbation of (a sweep's nominal point, a corner draw's seed):
-    on a miss, if the base's extraction is cached, the stage runs
+    [name].  [base] is the extraction of a configuration the evaluated
+    one is a small perturbation of (a sweep's nominal point, a corner
+    draw's seed) — the batched drivers pass what this function
+    returned for it just before their batch.  On a miss the stage runs
     {!Vdram_core.Model.extract_delta} against it — re-extracting only
     the circuit groups whose per-group sub-key changed and splicing
-    the rest — instead of a full extract.  The result is bit-identical
-    either way; an uncached base or a [~delta:false] engine silently
-    degrades to the full extraction. *)
+    the rest — instead of a full extract.  The base is a hint, never a
+    semantic: the result is bit-identical to the full extraction
+    whatever device it came from, and a [~delta:false] engine ignores
+    it. *)
 
 val eval :
-  ?base:Vdram_core.Config.t ->
+  ?base:Vdram_core.Model.extraction ->
   t ->
   Vdram_core.Config.t ->
   Vdram_core.Pattern.t ->
@@ -122,19 +124,19 @@ val eval :
     forwarded to {!extraction} on a mix miss. *)
 
 val power :
-  ?base:Vdram_core.Config.t ->
+  ?base:Vdram_core.Model.extraction ->
   t -> Vdram_core.Config.t -> Vdram_core.Pattern.t -> float
 
 val current :
-  ?base:Vdram_core.Config.t ->
+  ?base:Vdram_core.Model.extraction ->
   t -> Vdram_core.Config.t -> Vdram_core.Pattern.t -> float
 
 val energy_per_bit :
-  ?base:Vdram_core.Config.t ->
+  ?base:Vdram_core.Model.extraction ->
   t -> Vdram_core.Config.t -> Vdram_core.Pattern.t -> float option
 
 val op_energy :
-  ?base:Vdram_core.Config.t ->
+  ?base:Vdram_core.Model.extraction ->
   t -> Vdram_core.Config.t -> Vdram_core.Operation.kind -> float
 (** Per-occurrence supply energy of one operation, from the cached
     extraction ({!Vdram_core.Operation.energy} equivalent). *)
@@ -156,7 +158,7 @@ type stage_stats = {
 
 type delta_stats = {
   delta_attempts : int;
-      (** extraction misses served by the delta path (cached base) *)
+      (** extraction misses served by the delta path (a [~base] given) *)
   delta_fallbacks : int;
       (** delta attempts that fell back to a full extract *)
   groups_spliced : int;
@@ -173,5 +175,7 @@ type stats = {
 }
 
 val stats : t -> stats
-val reset_stats : t -> unit
+(** Counters accumulated since {!create}.  To measure one phase,
+    compare the stats before and after it. *)
+
 val pp_stats : Format.formatter -> stats -> unit

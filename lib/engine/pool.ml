@@ -13,16 +13,9 @@ let default_jobs () =
    parallel map runs serially instead of spawning domains^2. *)
 let in_worker = Domain.DLS.new_key (fun () -> false)
 
-let in_worker_now () = Domain.DLS.get in_worker
-
-(* The supervised runtime (Supervise) spawns its own worker domains;
-   marking them as pool workers keeps the same nested-parallelism
-   degradation: an Engine.map_jobs reached from inside a supervised
-   item runs serially instead of spawning domains^2. *)
-let scoped_worker f =
-  let saved = Domain.DLS.get in_worker in
-  Domain.DLS.set in_worker true;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set in_worker saved) f
+(* Worker domains that could not be spawned, process-wide. *)
+let spawn_failures = Atomic.make 0
+let degraded () = Atomic.get spawn_failures
 
 (* Workers steal a run of consecutive indices per fetch instead of one
    index: for µs-scale jobs the atomic fetch, the bounds check and the
@@ -66,7 +59,19 @@ let map ?chunk ~jobs f xs =
         in
         loop ()
       in
-      let spawned = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
+      (* A domain that cannot be spawned (resource exhaustion) degrades
+         the map to fewer workers instead of failing it: the calling
+         domain alone can claim every chunk. *)
+      let spawned =
+        List.filter_map
+          (fun _ ->
+            match Domain.spawn worker with
+            | d -> Some d
+            | exception _ ->
+              Atomic.incr spawn_failures;
+              None)
+          (List.init (jobs - 1) Fun.id)
+      in
       (* The calling domain participates too, then drops its worker
          flag so later maps from this domain parallelise again. *)
       worker ();

@@ -8,7 +8,9 @@
     amortize the steal and bounds-check overhead, while uneven job
     costs still balance across workers.  Results land in a slot per
     input position, so neither scheduling order nor chunk geometry
-    ever leaks into the output. *)
+    ever leaks into the output.  This is the repository's one
+    chunked domain loop: {!Supervise.map} runs its per-item boundary
+    inside it. *)
 
 val map : ?chunk:int -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Runs serially when [jobs <= 1], when the list has fewer than two
@@ -31,11 +33,7 @@ val default_chunk : jobs:int -> int -> int
 (** The adaptive chunk size [map] uses for an input of the given
     length (exposed for tests). *)
 
-val in_worker_now : unit -> bool
-(** Whether the current domain is a pool (or supervised) worker —
-    i.e. whether a [map] from here would run serially. *)
-
-val scoped_worker : (unit -> 'a) -> 'a
-(** Run [f] with the current domain marked as a pool worker, restoring
-    the previous mark afterwards.  Used by the supervised runtime so
-    its worker domains inherit the nested-parallelism degradation. *)
+val degraded : unit -> int
+(** Worker domains that {!map} could not spawn since the process
+    started.  A failed spawn never fails the map: the remaining
+    workers, at least the calling domain, claim every chunk. *)

@@ -104,6 +104,57 @@ let pp_stats ppf s =
     "%d retries, %d discarded, %d quarantined (%d bytes), %d evicted"
     s.retries s.discarded s.quarantined s.quarantined_bytes s.evicted
 
+(* ----- eviction ------------------------------------------------------ *)
+
+(* Both size caps run one procedure on their own directory: list the
+   .cache files with size and mtime, sort them oldest first by (mtime,
+   name) — deterministic on coarse-mtime filesystems — skip [keep], and
+   delete until the total fits.  A quarantined specimen's size includes
+   its .reason sidecar, which goes with it. *)
+
+let file_size p =
+  match Unix.stat p with
+  | { Unix.st_kind = Unix.S_REG; st_size; _ } -> st_size
+  | _ | (exception Unix.Unix_error _) -> 0
+
+let cache_files dir =
+  if Sys.file_exists dir && Sys.is_directory dir then
+    Array.to_list (Sys.readdir dir)
+    |> List.filter_map (fun f ->
+           if not (Filename.check_suffix f ".cache") then None
+           else
+             let p = Filename.concat dir f in
+             match Unix.stat p with
+             | { Unix.st_kind = Unix.S_REG; st_size; st_mtime; _ } ->
+               Some (p, st_size + file_size (p ^ ".reason"), st_mtime)
+             | _ | (exception Unix.Unix_error _) -> None)
+    |> List.sort (fun (p1, _, m1) (p2, _, m2) ->
+           match Float.compare m1 m2 with 0 -> compare p1 p2 | c -> c)
+  else []
+
+let evict_oldest t cap ~keep dir =
+  match cap with
+  | None -> 0
+  | Some cap ->
+    let files = cache_files dir in
+    let total = List.fold_left (fun a (_, sz, _) -> a + sz) 0 files in
+    let rec go total removed = function
+      | [] -> removed
+      | _ when total <= cap -> removed
+      | (p, _, _) :: rest when Some p = keep -> go total removed rest
+      | (p, sz, _) :: rest ->
+        (match Sys.remove p with
+         | () ->
+           (try Sys.remove (p ^ ".reason") with Sys_error _ -> ());
+           Atomic.incr t.c_evicted;
+           go (total - sz) (removed + 1) rest
+         | exception Sys_error _ -> go total removed rest)
+    in
+    go total 0 files
+
+let evict ?keep t =
+  evict_oldest t t.max_bytes ~keep:(Option.map (path t) keep) t.dir
+
 (* ----- quarantine ---------------------------------------------------- *)
 
 (* A rejected snapshot is moved aside, never deleted and never left in
@@ -115,52 +166,6 @@ let pp_stats ppf s =
    every move the oldest specimens (and their sidecars) are dropped
    until the evidence fits, so a corrupt-heavy run keeps the freshest
    specimens instead of growing without bound. *)
-
-let file_size p =
-  match Unix.stat p with
-  | { Unix.st_kind = Unix.S_REG; st_size; _ } -> st_size
-  | _ | (exception Unix.Unix_error _) -> 0
-
-(* Specimens in the quarantine directory, oldest first (mtime, then
-   name — deterministic on coarse-mtime filesystems), each with the
-   combined size of the .cache file and its .reason sidecar. *)
-let quarantine_specimens t =
-  let qdir = quarantine_dir t in
-  if Sys.file_exists qdir && Sys.is_directory qdir then
-    Array.to_list (Sys.readdir qdir)
-    |> List.filter_map (fun f ->
-           if not (Filename.check_suffix f ".cache") then None
-           else
-             let p = Filename.concat qdir f in
-             match Unix.stat p with
-             | { Unix.st_kind = Unix.S_REG; st_size; st_mtime; _ } ->
-               Some (p, st_size + file_size (p ^ ".reason"), st_mtime)
-             | _ | (exception Unix.Unix_error _) -> None)
-    |> List.sort (fun (p1, _, m1) (p2, _, m2) ->
-           match Float.compare m1 m2 with 0 -> compare p1 p2 | c -> c)
-  else []
-
-let evict_quarantine ?keep t =
-  match t.quarantine_max_bytes with
-  | None -> 0
-  | Some cap ->
-    let specimens = quarantine_specimens t in
-    let total = List.fold_left (fun a (_, sz, _) -> a + sz) 0 specimens in
-    let victims =
-      List.filter (fun (p, _, _) -> Some p <> keep) specimens
-    in
-    let rec go total removed = function
-      | [] -> removed
-      | _ when total <= cap -> removed
-      | (p, sz, _) :: rest ->
-        (match Sys.remove p with
-         | () ->
-           (try Sys.remove (p ^ ".reason") with Sys_error _ -> ());
-           Atomic.incr t.c_evicted;
-           go (total - sz) (removed + 1) rest
-         | exception Sys_error _ -> go total removed rest)
-    in
-    go total 0 victims
 
 let quarantine t ~name ~reason =
   let src = path t name in
@@ -185,12 +190,15 @@ let quarantine t ~name ~reason =
        with Sys_error _ -> ());
       Atomic.incr t.c_quarantined;
       ignore (Atomic.fetch_and_add t.c_quarantined_bytes moved : int);
-      ignore (evict_quarantine ~keep:d t : int);
+      ignore
+        (evict_oldest t t.quarantine_max_bytes ~keep:(Some d)
+           (quarantine_dir t)
+          : int);
       true
     | exception Sys_error _ -> false
   end
 
-(* ----- eviction ------------------------------------------------------ *)
+(* ----- save ---------------------------------------------------------- *)
 
 (* One snapshot file per stage:
 
@@ -207,58 +215,18 @@ let quarantine t ~name ~reason =
    and the writer pays for its own writeback instead of leaking dirty
    pages into whatever runs next. *)
 
-let snapshot_files t =
-  if Sys.file_exists t.dir && Sys.is_directory t.dir then
-    Array.to_list (Sys.readdir t.dir)
-    |> List.filter_map (fun f ->
-           if not (Filename.check_suffix f ".cache") then None
-           else
-             let p = Filename.concat t.dir f in
-             match Unix.stat p with
-             | { Unix.st_kind = Unix.S_REG; st_size; st_mtime; _ } ->
-               Some (p, st_size, st_mtime)
-             | _ | (exception Unix.Unix_error _) -> None)
-  else []
-
-let evict ?keep t =
-  match t.max_bytes with
-  | None -> 0
-  | Some cap ->
-    let keep_path = Option.map (path t) keep in
-    let files = snapshot_files t in
-    let total = List.fold_left (fun a (_, sz, _) -> a + sz) 0 files in
-    (* Oldest first; ties broken by name so eviction order is
-       deterministic on coarse-mtime filesystems. *)
-    let victims =
-      List.sort
-        (fun (p1, _, m1) (p2, _, m2) ->
-          match Float.compare m1 m2 with 0 -> compare p1 p2 | c -> c)
-        files
-      |> List.filter (fun (p, _, _) -> Some p <> keep_path)
-    in
-    let rec go total removed = function
-      | [] -> removed
-      | _ when total <= cap -> removed
-      | (p, sz, _) :: rest ->
-        (match Sys.remove p with
-         | () ->
-           Atomic.incr t.c_evicted;
-           go (total - sz) (removed + 1) rest
-         | exception Sys_error _ -> go total removed rest)
-    in
-    go total 0 victims
-
-(* ----- save ---------------------------------------------------------- *)
-
+(* Transient I/O errors, and a checksum mismatch that may be a
+   concurrent writer caught mid-flight on a filesystem without atomic
+   rename, are worth a couple of backed-off retries before giving up;
+   the last error is returned when every attempt failed. *)
 let with_backoff ~retries ~backoff t body =
   let rec attempt k =
     match body () with
-    | Ok v -> Some v
     | Error _ when k < retries ->
       Atomic.incr t.c_retries;
       Unix.sleepf (backoff *. float_of_int (1 lsl k));
       attempt (k + 1)
-    | Error _ -> None
+    | r -> r
   in
   attempt 0
 
@@ -300,8 +268,8 @@ let save ?(retries = 2) ?(backoff = 0.005) t ~name v =
          Error e)
   in
   match with_backoff ~retries ~backoff t write with
-  | Some () -> ignore (evict ~keep:name t)
-  | None -> ()
+  | Ok () -> ignore (evict ~keep:name t)
+  | Error _ -> ()
 
 (* ----- read ---------------------------------------------------------- *)
 
@@ -353,29 +321,13 @@ let read ?(retries = 2) ?(backoff = 0.005) t ~name =
           | Ok v -> Ok (`Hit v)
           | Error reason -> Error reason)
   in
-  (* A checksum mismatch can be a concurrent writer caught mid-flight
-     on a filesystem without atomic rename, and an io error can be
-     transient — both are worth a couple of backed-off retries before
-     the file is condemned. *)
-  let rec attempt k =
-    match attempt_once () with
-    | Ok r -> Ok r
-    | Error _ when k < retries ->
-      Atomic.incr t.c_retries;
-      Unix.sleepf (backoff *. float_of_int (1 lsl k));
-      attempt (k + 1)
-    | Error reason -> Error reason
-  in
-  match attempt 0 with
+  match with_backoff ~retries ~backoff t attempt_once with
   | Ok `Missing -> Missing
   | Ok (`Hit v) -> Hit v
   | Error reason ->
     Atomic.incr t.c_discarded;
     ignore (quarantine t ~name ~reason);
     Corrupt reason
-
-let load t ~name =
-  match read t ~name with Hit v -> Some v | Missing | Corrupt _ -> None
 
 let clear t =
   let sweep dir =

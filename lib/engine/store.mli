@@ -79,14 +79,11 @@ val read : ?retries:int -> ?backoff:float -> t -> name:string -> 'a read
     [retries] (default 2) re-reads with exponential [backoff] (default
     5 ms base) absorb transient I/O errors and mid-rename races; a
     file still failing is moved to {!quarantine_dir} and reported
-    {!Corrupt} with the reason.  Type-safety caveat: the caller must
-    request the type that was saved under [name]; the version stamp
-    (model version + fingerprint scheme) keeps the two sides in
-    agreement. *)
-
-val load : t -> name:string -> 'a option
-(** [read] collapsed to an option: [Some] on {!Hit}, [None] otherwise
-    (compatibility shim; quarantine and counters still apply). *)
+    {!Corrupt} with the reason; after every such move the oldest
+    specimens are evicted down to [quarantine_max_bytes].  Type-safety
+    caveat: the caller must request the type that was saved under
+    [name]; the version stamp (model version + fingerprint scheme)
+    keeps the two sides in agreement. *)
 
 val save : ?retries:int -> ?backoff:float -> t -> name:string -> 'a -> unit
 (** Write a snapshot atomically, creating the directory if needed,
@@ -100,14 +97,6 @@ val evict : ?keep:string -> t -> int
     until the snapshot files fit [max_bytes], never deleting the
     [keep] stage.  Returns how many files were removed; [0] without a
     cap. *)
-
-val evict_quarantine : ?keep:string -> t -> int
-(** Apply the quarantine size cap now: delete the oldest specimens
-    (and their [.reason] sidecars) until the quarantine directory fits
-    [quarantine_max_bytes], never deleting the [keep] path (a full
-    specimen path, as {!quarantine_dir}[/name.cache]).  Returns how
-    many specimens were removed; [0] without a cap.  {!save}-side
-    quarantining applies this automatically after every move. *)
 
 val clear : t -> unit
 (** Remove every snapshot file in the store directory, including

@@ -1,6 +1,5 @@
-(* Supervised batch runtime: Pool-style chunked parallel map with a
-   per-item fault boundary, failure classification and a failure
-   budget. *)
+(* Supervised batch runtime: a per-item fault boundary, failure
+   classification and a failure budget, run inside Pool.map. *)
 
 module Report = Vdram_core.Report
 module Fp = Fingerprint
@@ -42,7 +41,6 @@ type t = {
   policy : policy;
   plan : Faults.plan option;
   batch_counter : int Atomic.t;
-  degraded : int Atomic.t;
   mutable abort_flag : bool;
   lock : Mutex.t;
   mutable all_failures : failure list; (* reverse batch order *)
@@ -61,7 +59,6 @@ let create ?(policy = default_policy) ?faults () =
     policy;
     plan;
     batch_counter = Atomic.make 0;
-    degraded = Atomic.make 0;
     abort_flag = false;
     lock = Mutex.create ();
     all_failures = [];
@@ -167,8 +164,6 @@ let eval_item t ~batch ~check ~deadline f index x =
 let map t engine ?check f xs =
   let batch = Atomic.fetch_and_add t.batch_counter 1 in
   let items = Array.of_list xs in
-  let n = Array.length items in
-  let slots = Array.make n skipped in
   let deadline = t.policy.deadline in
   (* Budget: the number of failures tolerated before the batch stops
      claiming work.  Strict and unbounded keep-going evaluate every
@@ -180,64 +175,31 @@ let map t engine ?check f xs =
   in
   let nfail = Atomic.make 0 in
   let stop = Atomic.make false in
+  (* Each item's slot is computed inside Pool.map, whose workers mark
+     their domains so nested parallelism degrades to serial.  Once the
+     budget is spent the remaining items come back Skipped without [f]
+     being called. *)
   let run_one i =
-    let slot = eval_item t ~batch ~check ~deadline f i items.(i) in
-    slots.(i) <- slot;
-    match slot.outcome with
-    | Failed _ ->
-      let c = 1 + Atomic.fetch_and_add nfail 1 in
-      if c > budget then Atomic.set stop true
-    | Done _ | Skipped -> ()
+    if Atomic.get stop then skipped
+    else begin
+      let slot = eval_item t ~batch ~check ~deadline f i items.(i) in
+      (match slot.outcome with
+       | Failed _ ->
+         if 1 + Atomic.fetch_and_add nfail 1 > budget then
+           Atomic.set stop true
+       | Done _ | Skipped -> ());
+      slot
+    end
   in
-  let jobs = min (Engine.jobs engine) n in
-  if jobs <= 1 || n <= 1 || Pool.in_worker_now () then begin
-    let i = ref 0 in
-    while !i < n && not (Atomic.get stop) do
-      run_one !i;
-      incr i
-    done
-  end
-  else begin
-    let chunk = Pool.default_chunk ~jobs n in
-    let next = Atomic.make 0 in
-    let worker () =
-      Pool.scoped_worker (fun () ->
-          let rec loop () =
-            if not (Atomic.get stop) then begin
-              let i0 = Atomic.fetch_and_add next chunk in
-              if i0 < n then begin
-                let hi = min n (i0 + chunk) - 1 in
-                let i = ref i0 in
-                while !i <= hi && not (Atomic.get stop) do
-                  run_one !i;
-                  incr i
-                done;
-                loop ()
-              end
-            end
-          in
-          loop ())
-    in
-    (* A domain that cannot be spawned (resource exhaustion) degrades
-       the batch to fewer workers instead of failing it. *)
-    let spawned =
-      List.filter_map
-        (fun _ ->
-          match Domain.spawn worker with
-          | d -> Some d
-          | exception _ ->
-            Atomic.incr t.degraded;
-            None)
-        (List.init (jobs - 1) Fun.id)
-    in
-    worker ();
-    List.iter Domain.join spawned
-  end;
+  let slots =
+    Pool.map ~jobs:(Engine.jobs engine) run_one
+      (List.init (Array.length items) Fun.id)
+  in
   (* Record this batch's failures (index order) on the supervisor. *)
   let batch_failures =
-    Array.to_list slots
-    |> List.filter_map (fun s ->
-           match s.outcome with Failed fl -> Some fl | _ -> None)
+    List.filter_map
+      (fun s -> match s.outcome with Failed fl -> Some fl | _ -> None)
+      slots
   in
   if batch_failures <> [] then begin
     Mutex.lock t.lock;
@@ -253,7 +215,7 @@ let map t engine ?check f xs =
        exception and backtrace — exactly what Pool.map would raise.
        Stage_error is unwrapped back to the inner exception so strict
        supervision is observationally identical to no supervision. *)
-    Array.iter
+    List.iter
       (fun s ->
         match (s.outcome, s.original) with
         | Failed _, Some (e, bt) ->
@@ -263,7 +225,7 @@ let map t engine ?check f xs =
           Printexc.raise_with_backtrace e bt
         | _ -> ())
       slots;
-  Array.to_list (Array.map (fun s -> s.outcome) slots)
+  List.map (fun s -> s.outcome) slots
 
 let map_jobs ?supervisor engine ?check f xs =
   match supervisor with
@@ -301,7 +263,7 @@ let counters t =
     injected = count (fun f -> f.injected);
     deadline = count (fun f -> f.stage = "deadline");
     rejected = count (fun f -> f.stage = "validate");
-    degraded = Atomic.get t.degraded;
+    degraded = Pool.degraded ();
     by_stage = group_by_stage fs;
   }
 

@@ -2,9 +2,9 @@
     engine's domain pool.
 
     {!Engine.map_jobs} is all-or-nothing — one poisoned configuration
-    in a 5000-sample batch aborts the whole run.  A supervisor wraps
-    the same chunked, order-merged parallel evaluation in a per-item
-    boundary: each item either produces its value ([Done]), produces a
+    in a 5000-sample batch aborts the whole run.  A supervisor runs a
+    per-item boundary inside the same chunked, order-merged
+    {!Pool.map}: each item either produces its value ([Done]), produces a
     structured {!failure} record ([Failed] — batch, index, stage,
     input fingerprint, injected-or-real, message, elapsed time), or is
     [Skipped] because the failure budget was already spent.
@@ -30,11 +30,11 @@
 
     With no faults, no failures and no deadline hits, the [Done]
     payloads are bit-identical to the unsupervised engine at any job
-    count — supervision never perturbs a healthy run.  Worker domains
-    are marked with {!Pool.scoped_worker}, so nested parallelism
-    degrades to serial exactly as under {!Pool.map}; if a worker
-    domain cannot be spawned at all, the batch gracefully degrades to
-    fewer workers (counted in {!counters}) instead of failing. *)
+    count — supervision never perturbs a healthy run.  Because items
+    run on {!Pool.map}'s workers, nested parallelism degrades to
+    serial exactly as it does there, and a worker domain that cannot
+    be spawned degrades the batch to fewer workers ({!Pool.degraded},
+    reported in {!counters}) instead of failing it. *)
 
 type policy = {
   keep_going : bool;
@@ -99,9 +99,9 @@ val map :
   ('a -> 'b) ->
   'a list ->
   'b outcome list
-(** Supervised parallel map: same chunked stealing and input-order
-    merge as {!Pool.map} on the engine's job count, with the per-item
-    isolation, classification and budget semantics described above.
+(** Supervised parallel map: {!Pool.map} on the engine's job count,
+    with the per-item isolation, classification and budget semantics
+    described above.
     [check] validates each produced value ([Some reason] rejects it).
     Raises {!Aborted} under a spent [max_failures] budget, or the
     first original failure in input order under [strict_policy]. *)
@@ -143,7 +143,9 @@ type counters = {
   injected : int;  (** of which fault-injected *)
   deadline : int;  (** of which deadline overruns *)
   rejected : int;  (** of which check rejections *)
-  degraded : int;  (** worker domains that failed to spawn *)
+  degraded : int;
+      (** worker domains that failed to spawn, process-wide
+          ({!Pool.degraded}) *)
   by_stage : (string * int) list;
       (** failure count per class — ["geometry"], ["extraction"],
           ["mix"], ["validate"], ["deadline"], ["driver"] — sorted by

@@ -28,13 +28,11 @@ let run ?engine baseline scheme =
   (* Warm the baseline's extraction, then evaluate the transformed
      configuration with it as the delta base: a scheme perturbs a few
      fields, so only the circuit groups it reaches re-extract. *)
-  ignore (Engine.extraction engine baseline);
+  let base = Engine.extraction engine baseline in
   let power ?base cfg pattern = Engine.power ?base engine cfg pattern in
   let saving pattern_of =
     let before = power baseline (pattern_of baseline.Config.spec) in
-    let after =
-      power ~base:baseline modified (pattern_of modified.Config.spec)
-    in
+    let after = power ~base modified (pattern_of modified.Config.spec) in
     (before -. after) /. before
   in
   let epb ?base cfg =
@@ -52,12 +50,12 @@ let run ?engine baseline scheme =
     activate_energy_before =
       Engine.op_energy engine baseline Operation.Activate;
     activate_energy_after =
-      Engine.op_energy ~base:baseline engine modified Operation.Activate;
+      Engine.op_energy ~base engine modified Operation.Activate;
     idd0_saving = saving Pattern.idd0;
     idd4r_saving = saving Pattern.idd4r;
     idd7_saving = saving Pattern.idd7_mixed;
     energy_per_bit_before = epb baseline;
-    energy_per_bit_after = epb ~base:baseline modified;
+    energy_per_bit_after = epb ~base modified;
     die_area_before = die;
     die_area_after = die *. scheme.Scheme.area_factor;
   }

@@ -153,28 +153,30 @@ let cache_counters () =
   let s = Engine.stats engine in
   Alcotest.(check int) "new pattern: extraction hit" 1
     s.Engine.extraction_stats.hits;
-  Alcotest.(check int) "new pattern: mix miss" 2 s.Engine.mix_stats.misses;
-  Engine.reset_stats engine;
-  let s = Engine.stats engine in
-  Alcotest.(check int) "reset clears counters" 0 s.Engine.mix_stats.misses
+  Alcotest.(check int) "new pattern: mix miss" 2 s.Engine.mix_stats.misses
 
 let upstream_invalidation () =
   let cfg = base () in
   let engine = Engine.serial () in
   let p = Pattern.idd0 cfg.Config.spec in
   ignore (Engine.eval engine cfg p);
-  Engine.reset_stats engine;
   (* A bitline-capacitance perturbation leaves the floorplan alone:
      geometry must replay from cache while extraction and mix rerun. *)
+  let before = Engine.stats engine in
   ignore (Engine.eval engine (scale_bitline cfg 1.1) p);
-  let s = Engine.stats engine in
-  Alcotest.(check int) "perturbed tech: geometry hit" 1
-    s.Engine.geometry_stats.hits;
+  let after = Engine.stats engine in
+  let moved stage field = field (stage after) - field (stage before) in
+  let geometry s = s.Engine.geometry_stats
+  and extraction s = s.Engine.extraction_stats
+  and mix s = s.Engine.mix_stats
+  and hits (c : Engine.stage_stats) = c.hits
+  and misses (c : Engine.stage_stats) = c.misses in
+  Alcotest.(check int) "perturbed tech: geometry hit" 1 (moved geometry hits);
   Alcotest.(check int) "perturbed tech: geometry not recomputed" 0
-    s.Engine.geometry_stats.misses;
+    (moved geometry misses);
   Alcotest.(check int) "perturbed tech: extraction miss" 1
-    s.Engine.extraction_stats.misses;
-  Alcotest.(check int) "perturbed tech: mix miss" 1 s.Engine.mix_stats.misses
+    (moved extraction misses);
+  Alcotest.(check int) "perturbed tech: mix miss" 1 (moved mix misses)
 
 (* ----- determinism properties ---------------------------------------- *)
 
@@ -287,8 +289,8 @@ let engine_delta_path () =
   let p = Pattern.idd0 cfg.Config.spec in
   let cfg' = scale_bitline cfg 1.05 in
   let on = Engine.create ~jobs:1 () in
-  ignore (Engine.eval on cfg p);
-  let r = Engine.eval ~base:cfg on cfg' p in
+  let base = Engine.extraction on cfg in
+  let r = Engine.eval ~base on cfg' p in
   Helpers.check_true "delta eval bit-identical to the direct model"
     (r = Model.pattern_power cfg' p);
   let ds = (Engine.stats on).Engine.delta_stats in
@@ -299,11 +301,27 @@ let engine_delta_path () =
   (* The switch: a [~delta:false] engine returns the same report and
      never takes the delta path. *)
   let off = Engine.create ~jobs:1 ~delta:false () in
-  ignore (Engine.eval off cfg p);
   Helpers.check_true "delta-off engine identical"
-    (Engine.eval ~base:cfg off cfg' p = r);
+    (Engine.eval ~base off cfg' p = r);
   Alcotest.(check int) "delta-off never attempts" 0
     (Engine.stats off).Engine.delta_stats.Engine.delta_attempts
+
+let engine_delta_unrelated_base () =
+  (* The base is a hint, never a semantic: the extraction of a device
+     with a different node and different logic blocks still yields the
+     exact report, through one delta attempt. *)
+  let cfg = base () in
+  let other = Lazy.force Helpers.sdr_128m in
+  Helpers.check_true "the base device is unrelated"
+    (other.Config.node <> cfg.Config.node
+    && other.Config.logic <> cfg.Config.logic);
+  let p = Pattern.idd7_mixed cfg.Config.spec in
+  let engine = Engine.create ~jobs:1 () in
+  let base = Model.extract other in
+  Helpers.check_true "bit-identical to the direct model"
+    (Engine.eval ~base engine cfg p = Model.pattern_power cfg p);
+  Alcotest.(check int) "one delta attempt" 1
+    (Engine.stats engine).Engine.delta_stats.Engine.delta_attempts
 
 let sensitivity_delta_identity () =
   let cfg = base () in
@@ -378,7 +396,9 @@ let store_corruption_recovery () =
   Engine.flush_store engine;
   let skewed = Store.open_ ~dir:store_dir ~version:"some-other-version" () in
   Helpers.check_true "version skew discards the snapshot"
-    (Store.load skewed ~name:"mix" = None);
+    (match Store.read skewed ~name:"mix" with
+     | Store.Corrupt _ -> true
+     | Store.Hit _ | Store.Missing -> false);
   Store.clear st
 
 (* ----- store retries, quarantine, eviction ---------------------------- *)
@@ -466,11 +486,11 @@ let store_eviction_roundtrip () =
   let removed = Store.evict capped in
   Alcotest.(check int) "exactly the oldest snapshot evicted" 1 removed;
   Helpers.check_true "oldest snapshot gone"
-    (Store.load capped ~name:"old" = None);
+    (Store.read capped ~name:"old" = Store.Missing);
   Helpers.check_true "newest snapshot survives the round-trip"
-    (Store.load capped ~name:"new" = Some (payload "new"));
+    (Store.read capped ~name:"new" = Store.Hit (payload "new"));
   Helpers.check_true "middle snapshot untouched"
-    (Store.load capped ~name:"mid" = Some (payload "mid"));
+    (Store.read capped ~name:"mid" = Store.Hit (payload "mid"));
   Alcotest.(check int) "eviction counted" 1
     (Store.stats capped).Store.evicted;
   Store.clear capped
@@ -698,6 +718,53 @@ let supervised_abort_budget () =
   Alcotest.(check int) "only the observed failures recorded" 3
     (Supervise.counters sup).Supervise.failures
 
+let supervised_abort_budget_parallel () =
+  (* With several workers in flight the batch may overshoot the budget
+     by the items already claimed, but it must still stop claiming
+     work: the rest come back Skipped without [f] being called. *)
+  let n = 200 in
+  List.iter
+    (fun jobs ->
+      let sup =
+        quiet
+          ~policy:{ Supervise.default_policy with max_failures = Some 2 }
+          ()
+      in
+      let calls = Atomic.make 0 in
+      let f _ =
+        Atomic.incr calls;
+        failwith "boom"
+      in
+      (match Supervise.map sup (Engine.create ~jobs ()) f (List.init n Fun.id) with
+      | _ -> Alcotest.failf "jobs=%d: expected Aborted" jobs
+      | exception Supervise.Aborted { failures; tolerated } ->
+        Alcotest.(check int) "tolerated budget echoed" 2 tolerated;
+        Helpers.check_true
+          (Printf.sprintf "jobs=%d: stopped past the budget" jobs)
+          (failures > 2));
+      Helpers.check_true
+        (Printf.sprintf "jobs=%d: f called fewer than n times" jobs)
+        (Atomic.get calls < n);
+      Alcotest.(check int) "every call recorded as a failure"
+        (Atomic.get calls) (Supervise.counters sup).Supervise.failures)
+    [ 2; 4 ]
+
+let supervised_nested_serial () =
+  (* A Pool.map reached from inside a supervised item runs on the
+     item's own domain instead of spawning more. *)
+  let sup = quiet () in
+  let item _ =
+    let self = Domain.self () in
+    List.for_all
+      (fun d -> d = self)
+      (Pool.map ~jobs:4 (fun _ -> Domain.self ()) (List.init 16 Fun.id))
+  in
+  let outcomes =
+    Supervise.map sup (Engine.create ~jobs:2 ()) item (List.init 8 Fun.id)
+  in
+  Helpers.check_true "every nested map stayed on its item's domain"
+    (List.for_all (( = ) (Supervise.Done true)) outcomes)
+
 let supervised_validate_stage () =
   let sup = quiet () in
   let engine = Engine.create ~jobs:2 () in
@@ -919,6 +986,8 @@ let suite =
       delta_group_keys;
     Alcotest.test_case "delta: engine path identical, counted, switchable"
       `Quick engine_delta_path;
+    Alcotest.test_case "delta: an unrelated base is only a hint" `Quick
+      engine_delta_unrelated_base;
     Alcotest.test_case "delta: sensitivity identical with delta off" `Quick
       sensitivity_delta_identity;
     Alcotest.test_case "disk cache round-trip" `Quick store_roundtrip;
@@ -946,6 +1015,10 @@ let suite =
       supervised_strict_reraise;
     Alcotest.test_case "failure budget aborts the batch" `Quick
       supervised_abort_budget;
+    Alcotest.test_case "failure budget aborts parallel batches" `Quick
+      supervised_abort_budget_parallel;
+    Alcotest.test_case "nested map in a supervised item is serial" `Quick
+      supervised_nested_serial;
     Alcotest.test_case "check rejection is a validate failure" `Quick
       supervised_validate_stage;
     Alcotest.test_case "failure classes roll up by stage" `Quick
