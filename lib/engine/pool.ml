@@ -13,7 +13,6 @@ let default_jobs () =
    parallel map runs serially instead of spawning domains^2. *)
 let in_worker = Domain.DLS.new_key (fun () -> false)
 
-(* Worker domains that could not be spawned, process-wide. *)
 let spawn_failures = Atomic.make 0
 let degraded () = Atomic.get spawn_failures
 
