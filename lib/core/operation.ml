@@ -143,8 +143,8 @@ let ctx ?activated_bits ?geometry (cfg : Config.t) =
    instead of re-concatenating them — and delta-extraction's
    label-lockstep check against the base's labels short-circuits on
    physical equality instead of comparing characters.  Without it (and
-   the engine's pattern-fingerprint memo) batch_sweep and batch_corners
-   lost 2-4% of their item throughput on the benchmark ledger
+   the engine's pattern-fingerprint memo) batch_corners lost 1.8% of
+   its item throughput on the benchmark ledger, in every measured pair
    (doc/ENGINE.md, "Earn-its-keep audit"). *)
 let logic_labels_memo : (Logic_block.t list * string array) option Domain.DLS.key
     =

@@ -223,14 +223,14 @@ let flush_store t =
    looks the same configuration up again for extraction.  Without the
    memo every eval marshals the configuration again, and each mix key
    holds its own copy of the ~2.4 KB witness: serve_mixed's p50 latency
-   and peak memory both rose about 5%. *)
+   rose 12% and its peak memory 20%. *)
 let cfg_fp_memo : (Config.t * Fp.t) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
 (* Patterns: every item of a batch shares one pattern value, so this
    hits for every item after the first.  Without it (and Operation's
-   logic-label memo) batch_sweep and batch_corners lost 2-4% of their
-   item throughput. *)
+   logic-label memo) batch_corners lost 1.8% of its item throughput,
+   in every measured pair. *)
 let pat_fp_memo : (Pattern.t * Fp.t) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
