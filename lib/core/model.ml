@@ -479,10 +479,9 @@ let extract_delta ?activated_bits ?geometry ~base (cfg : Config.t) =
   let gb =
     match geometry with Some g -> g | None -> Config.geometry cfg
   in
-  (* [Config.geometry] is a field read, so the base side needs no
-     memo; a perturbation that leaves the floorplan alone usually
-     shares the very record, and [==] settles it before the
-     structural walk. *)
+  (* [Config.geometry] is a field read.  A perturbation that leaves
+     the floorplan alone usually shares the very record, so [==]
+     settles the comparison before the structural walk. *)
   let geometry_eq =
     let ga = Config.geometry base.proj in
     ga == gb || ga = gb
