@@ -218,13 +218,17 @@ let flush_store t =
    it cost an end-to-end number on the benchmark ledger (doc/ENGINE.md,
    "Earn-its-keep audit").
 
-   Configurations: serve's [Render.power] evaluates one configuration
-   against six patterns and then the request's own, and a mix miss
-   looks the same configuration up again for extraction.  Without the
-   memo every eval marshals the configuration again, and each mix key
-   holds its own copy of the ~2.4 KB witness: serve_mixed's p50 latency
-   rose 12% and its peak memory 20%. *)
-let cfg_fp_memo : (Config.t * Fp.t) option Domain.DLS.key =
+   Configurations: the key combines one fingerprint per physics field,
+   and a field physically equal to the same field of the last
+   configuration keyed on this domain reuses its fingerprint.  A lens
+   perturbation copies every sub-record but the one it replaced, so it
+   marshals only that one.  A configuration seen again marshals
+   nothing: serve's [Render.power] evaluates one configuration against
+   six patterns and then the request's own, and a mix miss looks the
+   same configuration up again for extraction. *)
+type cfg_memo = { last : Config.t; fields : Fp.t array; key : Fp.t }
+
+let cfg_fp_memo : cfg_memo option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
 (* Patterns: every item of a batch shares one pattern value, so this
@@ -234,13 +238,48 @@ let cfg_fp_memo : (Config.t * Fp.t) option Domain.DLS.key =
 let pat_fp_memo : (Pattern.t * Fp.t) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
-let config_fp (cfg : Config.t) =
+let config_fps (cfg : Config.t) =
   match Domain.DLS.get cfg_fp_memo with
-  | Some (c, fp) when c == cfg -> fp
-  | _ ->
-    let fp = Fp.of_value (Model.physics_projection cfg) in
-    Domain.DLS.set cfg_fp_memo (Some (cfg, fp));
-    fp
+  | Some m when m.last == cfg -> m
+  | memo ->
+    (* Exhaustive on purpose, with no [_] and no [Obj]: a new [Config.t]
+       field fails to compile (warning 9) until the key covers it.
+       [name] is not physics, as in [Model.physics_projection]. *)
+    let { Config.name = _; node; spec; domains; tech; floorplan; buses;
+          logic; data_toggle; io_predriver_cap; io_receiver_cap;
+          receiver_bias; input_receivers; activation_fraction } =
+      cfg
+    in
+    let prev = match memo with Some m -> m.last | None -> cfg in
+    let fp i v was =
+      match memo with
+      | Some m when v == was -> m.fields.(i)
+      | _ -> Fp.of_value v
+    in
+    (* The floorplan and the activation fraction come first: their
+       combine is the geometry key. *)
+    let fields =
+      [| fp 0 floorplan prev.Config.floorplan;
+         fp 1 activation_fraction prev.Config.activation_fraction;
+         fp 2 node prev.Config.node;
+         fp 3 spec prev.Config.spec;
+         fp 4 domains prev.Config.domains;
+         fp 5 tech prev.Config.tech;
+         fp 6 buses prev.Config.buses;
+         fp 7 logic prev.Config.logic;
+         fp 8 data_toggle prev.Config.data_toggle;
+         fp 9 io_predriver_cap prev.Config.io_predriver_cap;
+         fp 10 io_receiver_cap prev.Config.io_receiver_cap;
+         fp 11 receiver_bias prev.Config.receiver_bias;
+         fp 12 input_receivers prev.Config.input_receivers |]
+    in
+    let m = { last = cfg; fields; key = Fp.combine fields } in
+    Domain.DLS.set cfg_fp_memo (Some m);
+    m
+
+let config_fp cfg = (config_fps cfg).key
+
+let geometry_fp cfg = Fp.combine (Array.sub (config_fps cfg).fields 0 2)
 
 let pattern_fp (p : Pattern.t) =
   match Domain.DLS.get pat_fp_memo with
@@ -299,10 +338,7 @@ let guard stage f =
 let geometry t (cfg : Config.t) =
   Faults.stage_hook Faults.Geometry;
   guard "geometry" (fun () ->
-      let fp =
-        Fp.of_value (cfg.Config.floorplan, cfg.Config.activation_fraction)
-      in
-      cached t.geom_cache t.geom_c fp (fun () ->
+      cached t.geom_cache t.geom_c (geometry_fp cfg) (fun () ->
           {
             geometry = Config.geometry cfg;
             page_bits = Config.page_bits cfg;
@@ -372,7 +408,7 @@ let extraction ?base t (cfg : Config.t) =
 let eval ?base t (cfg : Config.t) pattern =
   Faults.stage_hook Faults.Mix;
   guard "mix" (fun () ->
-      let fp = Fp.combine [ config_fp cfg; pattern_fp pattern ] in
+      let fp = Fp.combine [| config_fp cfg; pattern_fp pattern |] in
       let r =
         cached t.mix_cache t.mix_c fp (fun () ->
             let ex = extraction ?base t cfg in

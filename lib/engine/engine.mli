@@ -90,7 +90,8 @@ type geometry = {
 
 val geometry : t -> Vdram_core.Config.t -> geometry
 (** Geometry/floorplan stage.  Keyed on the floorplan and the
-    activation fraction — the only configuration fields it reads. *)
+    activation fraction — the only configuration fields it reads —
+    through their field fingerprints (see {!extraction}). *)
 
 val extraction :
   ?base:Vdram_core.Model.extraction ->
@@ -98,8 +99,12 @@ val extraction :
   Vdram_core.Config.t ->
   Vdram_core.Model.extraction
 (** Capacitance-extraction stage ({!Vdram_core.Model.extract}).  Keyed
-    on {!Vdram_core.Model.physics_projection} — every field except
-    [name].  [base] is the extraction of a configuration the evaluated
+    on every configuration field except [name] (the fields of
+    {!Vdram_core.Model.physics_projection}): one fingerprint per field,
+    combined.  A field physically equal to the same field of the last
+    configuration keyed on the calling domain reuses its fingerprint,
+    so a one-lens perturbation marshals only the sub-record it
+    replaced.  [base] is the extraction of a configuration the evaluated
     one is a small perturbation of (a sweep's nominal point, a corner
     draw's seed) — the batched drivers pass what this function
     returned for it just before their batch.  On a miss the stage runs

@@ -20,7 +20,7 @@
     - {e bounded} ([max_failures = Some n]): keep going until more
       than [n] items have failed, then stop claiming work (remaining
       items are [Skipped]) and raise {!Aborted} after all workers
-      join.  Failures seen so far remain recorded on the supervisor.
+      finish.  Failures seen so far remain recorded on the supervisor.
 
     An optional per-item [deadline] (seconds) classifies an
     over-budget item as a ["deadline"] failure even when it returned a
