@@ -1019,14 +1019,22 @@ let advise_cmd =
 
 let corners_cmd =
   let samples =
-    Arg.(value & opt int 200 & info [ "samples" ] ~doc:"Monte-Carlo samples.")
+    Arg.(
+      value & opt int 200
+      & info [ "samples" ] ~doc:"Monte-Carlo samples (at least 1).")
   in
   let spread =
     Arg.(
       value & opt float 0.10
-      & info [ "spread" ] ~doc:"Half-width of the parameter band (0.10 = +-10%).")
+      & info [ "spread" ]
+          ~doc:"Half-width of the parameter band (0.10 = +-10%); at \
+                least 0 and below 1.")
   in
   let run device samples spread batch () =
+    if samples < 1 then fail "--samples must be >= 1";
+    (* Every factor 1 +- spread stays positive. *)
+    if not (spread >= 0.0 && spread < 1.0) then
+      fail "--spread must be >= 0 and < 1";
     let config, p = get device in
     batch (fun engine supervisor ->
         let d =

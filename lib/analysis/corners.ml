@@ -30,11 +30,30 @@ let next_float r = float_of_int (next r mod 1_000_000) /. 1_000_000.0
 (* Lenses that represent physical vendor-to-vendor variation: the
    technology parameters, the internal voltages and efficiencies, and
    the logic aggregates.  The external supply is a specification, not
-   a corner. *)
+   a corner.  Each comes with whether it is a generator efficiency. *)
 let corner_lenses =
   List.filter
     (fun l -> l.Lenses.name <> "external voltage Vdd")
     (Lenses.technology @ Lenses.voltages @ Lenses.logic)
+  |> List.map (fun l ->
+         (l, String.starts_with ~prefix:"generator " l.Lenses.name))
+  |> Array.of_list
+
+(* A draw's configuration: every corner lens in order, each scaled by
+   its factor. *)
+let perturb cfg factors =
+  let acc = ref cfg in
+  Array.iteri
+    (fun i (lens, efficiency) ->
+      (* Efficiencies must stay within (0, 1]. *)
+      let f =
+        if efficiency then
+          Float.min factors.(i) (1.0 /. Float.max 1e-9 (lens.Lenses.get !acc))
+        else factors.(i)
+      in
+      acc := Lenses.scale lens f !acc)
+    corner_lenses;
+  !acc
 
 let run ?engine ?supervisor ?(samples = 200) ?(spread = 0.10) ?(seed = 1)
     ?pattern cfg =
@@ -47,24 +66,15 @@ let run ?engine ?supervisor ?(samples = 200) ?(spread = 0.10) ?(seed = 1)
     | None -> Pattern.idd4r cfg.Config.spec
   in
   let rng = { state = Int64.of_int (max 1 seed) } in
-  let sample () =
-    List.fold_left
-      (fun acc lens ->
-        let f = 1.0 +. (spread *. ((2.0 *. next_float rng) -. 1.0)) in
-        (* Efficiencies must stay within (0, 1]. *)
-        let f =
-          if
-            String.length lens.Lenses.name >= 10
-            && String.sub lens.Lenses.name 0 10 = "generator "
-          then Float.min f (1.0 /. Float.max 1e-9 (lens.Lenses.get acc))
-          else f
-        in
-        Lenses.scale lens f acc)
-      cfg corner_lenses
+  (* Draw every sample's factors first, in the order [perturb] applies
+     them (the LCG is sequential state); the configurations are built
+     inside the mapped function, on the pool. *)
+  let draws =
+    List.init samples (fun _ ->
+        Array.map
+          (fun _ -> 1.0 +. (spread *. ((2.0 *. next_float rng) -. 1.0)))
+          corner_lenses)
   in
-  (* Draw every perturbed configuration first (the LCG is sequential
-     state), then fan the pure evaluations out on the pool. *)
-  let configs = List.init samples (fun _ -> sample ()) in
   let check i =
     if Float.is_finite i then None else Some "non-finite current"
   in
@@ -76,8 +86,8 @@ let run ?engine ?supervisor ?(samples = 200) ?(spread = 0.10) ?(seed = 1)
   let base = Engine.extraction engine cfg in
   let outcomes =
     Supervise.map_jobs ?supervisor engine ~check
-      (fun c -> Engine.current ~base engine c pattern)
-      configs
+      (fun factors -> Engine.current ~base engine (perturb cfg factors) pattern)
+      draws
   in
   (* Under supervision a failed draw is excluded from the statistics
      and counted; with no supervisor every outcome is Done. *)

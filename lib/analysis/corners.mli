@@ -34,8 +34,11 @@ val run :
 (** Idd distribution of a pattern under parameter spread.  Defaults:
     200 samples, ±10 % uniform spread, seed 1, the device's Idd4R
     loop (the figure-8/9 measurement with the widest vendor spread).
-    Perturbed configurations are drawn sequentially (the generator is
-    deterministic), then evaluated as one batch on [engine]'s pool —
+    Each lens is scaled by a factor in [1 ± spread], so [spread] must
+    lie in [\[0, 1)] to keep every factor positive (the CLI and the
+    serve protocol reject other values).  Every draw's factors are
+    generated sequentially (the generator is deterministic); each
+    draw's configuration is built and evaluated on [engine]'s pool —
     the distribution is identical at any job count.  With [supervisor]
     a failed or non-finite draw is excluded from the statistics and
     counted in [failed]; fails only if {e every} draw fails. *)

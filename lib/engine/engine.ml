@@ -27,11 +27,17 @@ type geometry = {
    the same mutex.  Critical sections are a single find or replace —
    stage computation always happens outside any lock (stages are pure,
    so a rare duplicate computation is just the same value computed
-   twice, and last-write-wins stores the same bits). *)
+   twice, and last-write-wins stores the same bits).
+
+   A slot is the value kept for a key, or [Seen]: the marker a
+   storeless engine leaves on a key's first miss (see [admit]).  It
+   lives in the same table, under the key's digest alone, and is never
+   served. *)
 
 let nshards = 16 (* power of two: shard index is a fingerprint mask *)
 
-type 'v shard = { lock : Mutex.t; tbl : 'v Fp_tbl.t }
+type 'v slot = Seen | Kept of 'v
+type 'v shard = { lock : Mutex.t; tbl : 'v slot Fp_tbl.t }
 type 'v cache = 'v shard array
 
 let cache_create () : 'v cache =
@@ -44,7 +50,12 @@ let cache_entries (cache : 'v cache) =
   Array.to_list cache
   |> List.concat_map (fun s ->
          Mutex.lock s.lock;
-         let xs = Fp_tbl.fold (fun k v acc -> (k, v) :: acc) s.tbl [] in
+         let xs =
+           Fp_tbl.fold
+             (fun k slot acc ->
+               match slot with Kept v -> (k, v) :: acc | Seen -> acc)
+             s.tbl []
+         in
          Mutex.unlock s.lock;
          xs)
 
@@ -129,7 +140,7 @@ let preload (cache : 'v cache) (entries : (Fp.t * 'v) array Store.read) =
     Array.iter
       (fun (fp, v) ->
         let s = shard_of cache fp in
-        Fp_tbl.replace s.tbl fp v)
+        Fp_tbl.replace s.tbl fp (Kept v))
       arr;
     (Array.length arr, 0)
 
@@ -291,27 +302,52 @@ let pattern_fp (p : Pattern.t) =
 
 (* ----- stages ------------------------------------------------------ *)
 
-(* Per-miss timing uses the monotonic clock: wall-clock deltas
+(* Every stage probes its cache with [find]; on [None] it computes the
+   value outside any lock and hands it to [admit].
+
+   Admission on second sight: a storeless engine keeps a value only on
+   its key's second miss.  The first leaves [Seen] under the key's
+   digest ([Fp.trusted]), so a key that never comes back — every
+   corners draw — costs a digest-sized marker instead of a value
+   promoted to the major heap.  The second replaces the marker, and
+   [Fp_tbl.replace] writes the full key (with its witness) back over
+   the digest-only one.  An engine with a store keeps every miss: the
+   store's reader is a later process, whose lookups this one cannot
+   count.
+
+   Per-miss timing uses the monotonic clock: wall-clock deltas
    (gettimeofday) can go backwards under NTP adjustment and corrupt
    the accumulators with negative nanoseconds. *)
-let cached cache c fp compute =
+let find cache (c : counters) fp =
   let s = shard_of cache fp in
   Mutex.lock s.lock;
   let found = Fp_tbl.find_opt s.tbl fp in
   Mutex.unlock s.lock;
   match found with
-  | Some v ->
+  | Some (Kept v) ->
     Atomic.incr c.hits;
-    v
+    Some v
+  | Some Seen | None -> None
+
+(* [t0] is when the compute started. *)
+let admit t cache (c : counters) fp t0 v =
+  let dt = Int64.to_int (Int64.sub (Monotonic_clock.now ()) t0) in
+  Atomic.incr c.misses;
+  ignore (Atomic.fetch_and_add c.time_ns dt);
+  let s = shard_of cache fp in
+  Mutex.lock s.lock;
+  if Option.is_some t.store || Fp_tbl.mem s.tbl fp then
+    Fp_tbl.replace s.tbl fp (Kept v)
+  else Fp_tbl.replace s.tbl (Fp.trusted fp) Seen;
+  Mutex.unlock s.lock
+
+let cached t cache c fp compute =
+  match find cache c fp with
+  | Some v -> v
   | None ->
     let t0 = Monotonic_clock.now () in
     let v = compute () in
-    let dt = Int64.to_int (Int64.sub (Monotonic_clock.now ()) t0) in
-    Atomic.incr c.misses;
-    ignore (Atomic.fetch_and_add c.time_ns dt);
-    Mutex.lock s.lock;
-    Fp_tbl.replace s.tbl fp v;
-    Mutex.unlock s.lock;
+    admit t cache c fp t0 v;
     v
 
 (* Under a supervised item (Faults.with_item context), a stage failure
@@ -338,7 +374,7 @@ let guard stage f =
 let geometry t (cfg : Config.t) =
   Faults.stage_hook Faults.Geometry;
   guard "geometry" (fun () ->
-      cached t.geom_cache t.geom_c (geometry_fp cfg) (fun () ->
+      cached t t.geom_cache t.geom_c (geometry_fp cfg) (fun () ->
           {
             geometry = Config.geometry cfg;
             page_bits = Config.page_bits cfg;
@@ -369,14 +405,8 @@ let extraction ?base t (cfg : Config.t) =
   Faults.stage_hook Faults.Extraction;
   guard "extraction" (fun () ->
       let fp = config_fp cfg in
-      let s = shard_of t.ext_cache fp in
-      Mutex.lock s.lock;
-      let found = Fp_tbl.find_opt s.tbl fp in
-      Mutex.unlock s.lock;
-      match found with
-      | Some v ->
-        Atomic.incr t.ext_c.hits;
-        v
+      match find t.ext_cache t.ext_c fp with
+      | Some v -> v
       | None ->
         (* Geometry is its own stage with its own timer: resolve it
            before starting extraction's clock so the per-stage time
@@ -396,13 +426,8 @@ let extraction ?base t (cfg : Config.t) =
                 ~geometry:g.geometry cfg,
               None )
         in
-        let dt = Int64.to_int (Int64.sub (Monotonic_clock.now ()) t0) in
-        Atomic.incr t.ext_c.misses;
-        ignore (Atomic.fetch_and_add t.ext_c.time_ns dt);
+        admit t t.ext_cache t.ext_c fp t0 v;
         Option.iter (record_delta t) outcome;
-        Mutex.lock s.lock;
-        Fp_tbl.replace s.tbl fp v;
-        Mutex.unlock s.lock;
         v)
 
 let eval ?base t (cfg : Config.t) pattern =
@@ -410,7 +435,7 @@ let eval ?base t (cfg : Config.t) pattern =
   guard "mix" (fun () ->
       let fp = Fp.combine [| config_fp cfg; pattern_fp pattern |] in
       let r =
-        cached t.mix_cache t.mix_c fp (fun () ->
+        cached t t.mix_cache t.mix_c fp (fun () ->
             let ex = extraction ?base t cfg in
             { (Model.pattern_power_staged ex cfg pattern) with
               Report.config_name = "" })

@@ -9,8 +9,10 @@
     exactly the inputs that stage reads.  Perturbing a voltage lens
     therefore re-runs extraction and mix but replays geometry from
     cache; re-evaluating one configuration against several patterns
-    replays both geometry and extraction.  Caches are striped over
-    independently locked shards, so worker domains rarely contend.
+    replays both geometry and extraction.  An engine without a store
+    keeps a value on its key's second miss, not its first (see
+    {!create}).  Caches are striped over independently locked shards,
+    so worker domains rarely contend.
     See [doc/ENGINE.md] for the stage graph, the cache keys, the
     on-disk format and the determinism contract. *)
 
@@ -26,7 +28,17 @@ exception Stage_error of string * exn
 val create : ?jobs:int -> ?store:Store.t -> ?delta:bool -> unit -> t
 (** A fresh engine.  [jobs] bounds the domain pool used by
     {!map_jobs}; it defaults to {!Pool.default_jobs} (which honours
-    [VDRAM_JOBS]).  [store] attaches a persistent cross-process cache:
+    [VDRAM_JOBS]).
+
+    Admission: without [store], a stage keeps a computed value only on
+    its key's second miss.  The first miss leaves a digest-only marker
+    that is never served, so a key evaluated once (a corners draw)
+    costs no kept value, and a value is reused from its key's third
+    evaluation on.  Both misses count in {!stats}.  With [store], every
+    miss is kept, because the store's reader is a later process whose
+    lookups this engine cannot count.
+
+    [store] attaches a persistent cross-process cache:
     extraction and pattern-mix snapshots are loaded from it
     immediately and written back by {!flush_store}.  A stale or
     corrupt snapshot is not silently discarded: the store quarantines
@@ -125,8 +137,11 @@ val eval :
     configuration and the pattern; the report's [config_name] is
     patched to the caller's configuration name on every return, so a
     cache hit from a renamed twin stays correctly labelled.
-    Bit-identical to {!Vdram_core.Model.pattern_power}.  [base] is
-    forwarded to {!extraction} on a mix miss. *)
+    Bit-identical to {!Vdram_core.Model.pattern_power}, whether the
+    report was kept, recomputed on a second miss or replayed.  A
+    storeless engine keeps the report (and the extraction and geometry
+    a miss computes) on the key's second miss, as {!create} describes.
+    [base] is forwarded to {!extraction} on a mix miss. *)
 
 val power :
   ?base:Vdram_core.Model.extraction ->

@@ -62,7 +62,10 @@ type failure = {
       (** ["geometry"], ["extraction"], ["mix"] (engine stages),
           ["validate"] (check rejection), ["deadline"], or ["driver"]
           (failure outside any engine stage) *)
-  fingerprint : string;  (** hex fingerprint of the input item *)
+  fingerprint : string;
+      (** hex fingerprint of the input item; for a [Corners] draw, the
+          item is the draw's factors, not the configuration built from
+          them *)
   injected : bool;       (** true for {!Faults.Injected} faults *)
   message : string;      (** printed exception or rejection reason *)
   elapsed_ns : int;      (** time spent on the item before it failed *)

@@ -128,7 +128,10 @@ let decode j =
                | n when n < 1 -> badf "field \"samples\" must be >= 1"
                | n when n > 1_000_000 -> badf "field \"samples\" too large"
                | n -> n);
-            spread = Option.value (field j "spread" Json.num) ~default:0.10;
+            spread =
+              (match Option.value (field j "spread" Json.num) ~default:0.10 with
+               | s when s >= 0.0 && s < 1.0 -> s
+               | _ -> badf "field \"spread\" must be >= 0 and < 1");
           }
       | "sweep" ->
         Sweep

@@ -222,6 +222,8 @@ let protocol_decode () =
   rejected {|{"op":"nope"}|};
   rejected {|{"op":"eval","deadline":-1}|};
   rejected {|{"op":"corners","samples":0}|};
+  rejected {|{"op":"corners","spread":1}|};
+  rejected {|{"op":"corners","spread":-0.1}|};
   rejected ~id:(Json.Num 7.) {|{"id":7,"op":"sweep","lens":"vdd"}|};
   rejected {|["not","an","object"]|};
   rejected {|{"no_op":true}|}
@@ -554,6 +556,13 @@ let server_bad_frames () =
         (match Json.mem "id" e2 with
          | Some (Json.Str s) -> s
          | _ -> "<missing>");
+      (* A spread of 1 or more allows corners factors of zero or less. *)
+      send_line fd {|{"id":"sp","op":"corners","spread":2.5}|};
+      let e_spread = one (recv_frames fd 1) in
+      Alcotest.(check string) "out-of-range spread class" "bad_request"
+        (jstr e_spread "class");
+      Alcotest.(check string) "out-of-range spread message"
+        "field \"spread\" must be >= 0 and < 1" (jstr e_spread "message");
       (* Oversized line: rejected at the cap, stream resyncs at the
          next newline and the connection keeps working. *)
       send_raw fd (String.make 400 'x');
