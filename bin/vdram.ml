@@ -789,13 +789,14 @@ let check_cmd =
       value & opt int 4
       & info [ "splits" ] ~docv:"N"
           ~doc:"Branch-and-bound bisection depth behind the bounds (up \
-                to 2^N leaf evaluations).")
+                to 2^N leaf evaluations; at least 0).")
   in
   let cells =
     Arg.(
       value & opt int 32
       & info [ "cells" ] ~docv:"N"
-          ~doc:"Deepest partition tried per monotonicity certificate.")
+          ~doc:"Deepest partition tried per monotonicity certificate \
+                (at least 4, the first partition tried).")
   in
   let samples =
     Arg.(
@@ -803,7 +804,7 @@ let check_cmd =
       & info [ "samples" ] ~docv:"N"
           ~doc:"Draw N concrete random configurations from the box and \
                 assert them inside the certified bounds; the result is \
-                recorded in the certificate.")
+                recorded in the certificate (at least 0; 0 draws none).")
   in
   let seed =
     Arg.(
@@ -889,6 +890,9 @@ let check_cmd =
   in
   let run files certify out lens_specs all_lenses splits cells samples seed
       flags () =
+    if cells < 4 then fail "--cells must be >= 4";
+    if splits < 0 then fail "--splits must be >= 0";
+    if samples < 0 then fail "--samples must be >= 0";
     let check =
       lazy
         (let axes =

@@ -10,7 +10,15 @@
    s in [lo, hi], fl(v * s) is monotone in s (correctly rounded
    multiplication is monotone), hence always between fl(v * lo) and
    fl(v * hi).  [field] relies on this; a getter moved by several
-   axes falls back to corner enumeration with outward widening. *)
+   axes falls back to corner enumeration with outward widening.
+
+   A read only consults the axes that can move it.  A lens that sets
+   a voltage replaces the domains record and leaves the technology
+   record and the logic list physically the same, so a getter that
+   reads only the technology record returns the base value at that
+   axis's corners without being asked.  Each axis is filed, once per
+   box, under the sub-records its corners replaced; top-level reads
+   still consult every axis. *)
 
 module I = Vdram_units.Interval
 module Config = Vdram_core.Config
@@ -18,12 +26,24 @@ module Lenses = Vdram_analysis.Lenses
 
 type axis = { lens : Lenses.t; scale : I.t }
 
+(* One axis and the base with only that axis applied at its lower /
+   upper scale. *)
+type corner = { axis : axis; clo : Config.t; chi : Config.t }
+
+(* The corners a read must consult, by what it reads; each array in
+   axis order. *)
+type reads = {
+  every : corner array;
+  tech : corner array;
+  domains : corner array;
+  logic : corner array;
+}
+
 type t = {
   base : Config.t;
   axes : axis list;
-  (* Per axis: the base with only that axis applied at its lower /
-     upper scale.  Field reads compare against these. *)
-  corners : (Config.t * Config.t) array Lazy.t;
+  reads : reads Lazy.t;
+  mutable moved : bool;  (* some read met an axis that moves it *)
 }
 
 let axis lens ~lo ~hi =
@@ -40,20 +60,37 @@ let default_axis lens =
   let lo, hi = lens.Lenses.range in
   axis lens ~lo ~hi
 
+let reads base axes =
+  let every =
+    Array.of_list
+      (List.map
+         (fun a ->
+           {
+             axis = a;
+             clo = Lenses.scale a.lens (a.scale : I.t).lo base;
+             chi = Lenses.scale a.lens (a.scale : I.t).hi base;
+           })
+         axes)
+  in
+  let replacing part =
+    let b = part base in
+    Array.of_list
+      (List.filter
+         (fun c -> part c.clo != b || part c.chi != b)
+         (Array.to_list every))
+  in
+  {
+    every;
+    tech = replacing (fun c -> c.Config.tech);
+    domains = replacing (fun c -> c.Config.domains);
+    logic = replacing (fun c -> c.Config.logic);
+  }
+
 let v ~base axes =
   let names = List.map (fun a -> a.lens.Lenses.name) axes in
   if List.length (List.sort_uniq String.compare names) <> List.length names
   then invalid_arg "Abox.v: duplicate lens axes";
-  let corners =
-    lazy
-      (Array.of_list
-         (List.map
-            (fun a ->
-              ( Lenses.scale a.lens (a.scale : I.t).lo base,
-                Lenses.scale a.lens (a.scale : I.t).hi base ))
-            axes))
-  in
-  { base; axes; corners }
+  { base; axes; reads = lazy (reads base axes); moved = false }
 
 let base t = t.base
 let axes t = t.axes
@@ -94,25 +131,41 @@ let enumerate_corners t affected get =
     | Some i -> I.v (Float.pred (i : I.t).lo) (Float.succ (i : I.t).hi)
   end
 
-let field t get =
+(* The range of [get] over the box, consulting only the corners
+   [which] files it under: every other axis leaves what [get] reads
+   physically unchanged. *)
+let range t which get =
   let base_v = get t.base in
   match t.axes with
   | [] -> I.point base_v
-  | axes ->
-    let corners = Lazy.force t.corners in
+  | _ ->
+    let corners = which (Lazy.force t.reads) in
     let affected = ref [] in
-    List.iteri
-      (fun i a ->
-        let clo, chi = corners.(i) in
-        let vlo = get clo and vhi = get chi in
-        if vlo <> base_v || vhi <> base_v then
-          affected := (a, vlo, vhi) :: !affected)
-      axes;
-    (match List.rev !affected with
+    for i = Array.length corners - 1 downto 0 do
+      let c = corners.(i) in
+      let vlo = get c.clo and vhi = get c.chi in
+      if vlo <> base_v || vhi <> base_v then
+        affected := (c.axis, vlo, vhi) :: !affected
+    done;
+    (match !affected with
      | [] -> I.point base_v
      | [ (_, vlo, vhi) ] ->
+       t.moved <- true;
        I.v (Float.min vlo vhi) (Float.max vlo vhi)
-     | many -> enumerate_corners t (List.map (fun (a, _, _) -> a) many) get)
+     | many ->
+       t.moved <- true;
+       enumerate_corners t (List.map (fun (a, _, _) -> a) many) get)
+
+let field t get = range t (fun r -> r.every) get
+let tech t sel = range t (fun r -> r.tech) (fun c -> sel c.Config.tech)
+
+let domains t sel =
+  range t (fun r -> r.domains) (fun c -> sel c.Config.domains)
+
+let logic t i sel =
+  range t (fun r -> r.logic) (fun c -> sel (List.nth c.Config.logic i))
+
+let moved t = t.moved
 
 let instantiate t scales =
   if List.length scales <> List.length t.axes then

@@ -7,7 +7,10 @@
     scalar the physics reads is moved by at most one axis and
     {!field} returns its exact float range; getters moved by several
     axes (not produced by the stock inventory) fall back to widened
-    corner enumeration. *)
+    corner enumeration.  {!tech}, {!domains} and {!logic} read one
+    sub-record and consult only the axes whose corner configurations
+    replaced it (a physical comparison made once per box), so a
+    technology read in a box of voltage axes calls its getter once. *)
 
 type axis = private { lens : Vdram_analysis.Lenses.t; scale : Vdram_units.Interval.t }
 
@@ -30,7 +33,27 @@ val dim : t -> int
 val field : t -> (Vdram_core.Config.t -> float) -> Vdram_units.Interval.t
 (** Range of a scalar getter over the box: exact for getters moved by
     at most one axis, a widened corner hull otherwise, and a point
-    for getters no axis moves. *)
+    for getters no axis moves.  Consults every axis. *)
+
+val tech : t -> (Vdram_tech.Params.t -> float) -> Vdram_units.Interval.t
+(** [field] of a getter that reads only the technology record.  Only
+    the axes whose corners replaced that record are consulted; the
+    result is the one [field] gives. *)
+
+val domains :
+  t -> (Vdram_circuits.Domains.t -> float) -> Vdram_units.Interval.t
+(** [field] of a getter that reads only the voltage-domain record,
+    consulting only the axes whose corners replaced it. *)
+
+val logic :
+  t -> int -> (Vdram_circuits.Logic_block.t -> float) -> Vdram_units.Interval.t
+(** [logic t i sel] is [field] of [sel] on logic block [i], consulting
+    only the axes whose corners replaced the logic list. *)
+
+val moved : t -> bool
+(** Whether some read of this box has met an axis that moves the value
+    it reads.  While [false], every read so far returned the base
+    configuration's value as a point, whatever the scales. *)
 
 val instantiate : t -> float list -> Vdram_core.Config.t
 (** Concrete member of the box at the given per-axis scales (one per

@@ -60,14 +60,12 @@ type env = {
 }
 
 let env box =
-  let field = Abox.field box in
   {
     box;
-    p = (fun sel -> field (fun cfg -> sel cfg.Config.tech));
-    d = (fun sel -> field (fun cfg -> sel cfg.Config.domains));
-    c = field;
-    blk =
-      (fun i sel -> field (fun cfg -> sel (List.nth cfg.Config.logic i)));
+    p = Abox.tech box;
+    d = Abox.domains box;
+    c = Abox.field box;
+    blk = Abox.logic box;
   }
 
 (* ----- Devices ----------------------------------------------------- *)
@@ -603,33 +601,24 @@ let receiver_bias_power e =
   * e.c (fun c -> c.Config.receiver_bias)
   * e.d (fun d -> d.Domains.vdd)
 
-let analyze box pattern =
-  let e = env box in
-  let base = Abox.base box in
-  let spec = base.Config.spec in
-  let op_contributions =
-    List.map (fun kind -> (kind, contributions e kind)) Operation.all
-  in
-  let op_energy =
-    List.map
-      (fun (kind, cs) -> (kind, total_at_vdd e cs))
-      op_contributions
-  in
-  let nop = List.assoc Operation.Nop op_energy in
+(* The pattern mix: every stage after extraction, from per-operation
+   energies.  [analyze] and [metric] share this one copy.  [energy] is
+   asked for Nop (the background floor) and for each operation the
+   pattern counts, once each; the extraction-stage lists are the
+   caller's. *)
+let mix e pattern energy ~op_contributions ~op_energy =
+  let spec = (Abox.base e.box).Config.spec in
   let background =
-    (nop * I.point spec.Spec.control_clock)
+    (energy Operation.Nop * I.point spec.Spec.control_clock)
     + (e.d (fun d -> d.Domains.i_constant) * e.d (fun d -> d.Domains.vdd))
     + receiver_bias_power e
   in
   let loop_time = Model.loop_time spec pattern in
-  let counts = Model.op_counts pattern in
   let op_power =
     List.fold_left
       (fun acc (kind, count) ->
-        acc
-        + (I.of_int count * List.assoc kind op_energy
-           / I.point loop_time))
-      I.zero counts
+        acc + (I.of_int count * energy kind / I.point loop_time))
+      I.zero (Model.op_counts pattern)
   in
   let power = background + op_power in
   let current = power / e.d (fun d -> d.Domains.vdd) in
@@ -649,3 +638,30 @@ let analyze box pattern =
     bits_per_loop;
     energy_per_bit;
   }
+
+let analyze box pattern =
+  let e = env box in
+  let op_contributions =
+    List.map (fun kind -> (kind, contributions e kind)) Operation.all
+  in
+  let op_energy =
+    List.map
+      (fun (kind, cs) -> (kind, total_at_vdd e cs))
+      op_contributions
+  in
+  mix e pattern
+    (fun kind -> List.assoc kind op_energy)
+    ~op_contributions ~op_energy
+
+type metric = Energy_per_bit | Power
+
+let metric box pattern wanted =
+  let e = env box in
+  let s =
+    mix e pattern
+      (fun kind -> total_at_vdd e (contributions e kind))
+      ~op_contributions:[] ~op_energy:[]
+  in
+  match wanted with
+  | Power -> Some s.power
+  | Energy_per_bit -> s.energy_per_bit

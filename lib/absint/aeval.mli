@@ -6,7 +6,9 @@
     operation in the same association order, so by induction each
     concrete intermediate of evaluating any member of the box lies
     inside the mirrored interval.  The per-stage qcheck property in
-    the test suite exercises this correspondence on random boxes. *)
+    the test suite exercises this correspondence on random boxes.
+    {!analyze} and {!metric} share one copy of the pattern mix;
+    [metric] feeds it only the operation energies it asks for. *)
 
 type contribution = {
   label : string;
@@ -31,3 +33,13 @@ type stages = {
 
 val analyze : Abox.t -> Vdram_core.Pattern.t -> stages
 (** Run the full abstract pipeline for one pattern over a box. *)
+
+type metric = Energy_per_bit | Power
+
+val metric :
+  Abox.t -> Vdram_core.Pattern.t -> metric -> Vdram_units.Interval.t option
+(** One metric of {!analyze}, bit for bit ([Power] is its [power],
+    [Energy_per_bit] its [energy_per_bit]), from only the energies the
+    mix needs: Nop and the operations the pattern counts.  Both run the
+    same mix code.  Afterwards {!Abox.moved} tells whether any field
+    the evaluation read was moved by an axis of the box. *)

@@ -14,7 +14,9 @@
 
    The direction is guessed from concrete endpoint samples, then
    proved abstractly; K is refined adaptively (4, 8, 16, 32) until
-   the chain closes or the budget is exhausted. *)
+   the chain closes or the budget is exhausted.  A cell prices only
+   the metric (Aeval.metric), and an axis whose cells read no field
+   it moves is exhausted on its first failed chain. *)
 
 module I = Vdram_units.Interval
 module Config = Vdram_core.Config
@@ -22,7 +24,7 @@ module Model = Vdram_core.Model
 module Report = Vdram_core.Report
 module Lenses = Vdram_analysis.Lenses
 
-type metric = Energy_per_bit | Power
+type metric = Aeval.metric = Energy_per_bit | Power
 
 let metric_name = function
   | Energy_per_bit -> "energy_per_bit"
@@ -53,11 +55,6 @@ let concrete_metric metric base pattern =
   | Power -> Some report.Report.power
   | Energy_per_bit -> report.Report.energy_per_bit
 
-let abstract_metric metric (s : Aeval.stages) =
-  match metric with
-  | Power -> Some s.Aeval.power
-  | Energy_per_bit -> s.Aeval.energy_per_bit
-
 (* Cell k of K over [lo, hi]; endpoints computed the same way for
    cell k's hi and cell k+1's lo so the partition has no gaps. *)
 let cell_bounds ~lo ~hi ~cells k =
@@ -66,19 +63,23 @@ let cell_bounds ~lo ~hi ~cells k =
   let b = if k = cells - 1 then hi else f (k + 1) in
   (a, b)
 
+(* The metric on each of the K cells, and whether any cell read a
+   field its axis moves; [None] as soon as a cell's metric is not
+   finite. *)
 let cell_intervals ~base ~lens ~lo ~hi ~cells ~metric pattern =
-  let ok = ref true in
-  let result =
-    Array.init cells (fun k ->
-        let a, b = cell_bounds ~lo ~hi ~cells k in
-        let box = Abox.v ~base [ Abox.axis lens ~lo:a ~hi:b ] in
-        match abstract_metric metric (Aeval.analyze box pattern) with
-        | Some i when I.is_finite i -> i
-        | _ ->
-          ok := false;
-          I.top)
+  let moved = ref false in
+  let rec go k acc =
+    if k = cells then Some (Array.of_list (List.rev acc), !moved)
+    else
+      let a, b = cell_bounds ~lo ~hi ~cells k in
+      let box = Abox.v ~base [ Abox.axis lens ~lo:a ~hi:b ] in
+      match Aeval.metric box pattern metric with
+      | Some i when I.is_finite i ->
+        if Abox.moved box then moved := true;
+        go (k + 1) (i :: acc)
+      | _ -> None
   in
-  if !ok then Some result else None
+  go 0 []
 
 let chain_holds ~direction intervals =
   let n = Array.length intervals in
@@ -121,7 +122,7 @@ let certify ?(max_cells = 32) ~base ~lens ~lo ~hi ~metric pattern =
           cell_intervals ~base ~lens ~lo ~hi ~cells ~metric pattern
         with
         | None -> fail cells
-        | Some intervals ->
+        | Some (intervals, moved) ->
           if chain_holds ~direction intervals then
             {
               lens = name;
@@ -133,6 +134,15 @@ let certify ?(max_cells = 32) ~base ~lens ~lo ~hi ~metric pattern =
               cells;
               resolution = 2.0 *. ((hi -. lo) /. float_of_int cells);
             }
+          else if not moved then
+            (* No cell read a field the axis moves: every read
+               returned its base value at every partition point.  A
+               setter monotone in the scale, the assumption
+               [Abox.field] already rests on, then returns it between
+               those points too, so each cell of every finer partition
+               evaluates to this same interval, on which the chain
+               has just failed. *)
+            fail max_cells
           else refine (cells * 2)
     in
     refine 4

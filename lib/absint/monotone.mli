@@ -10,7 +10,7 @@
     discard any candidate at least one resolution step on the wrong
     side of a better one. *)
 
-type metric = Energy_per_bit | Power
+type metric = Aeval.metric = Energy_per_bit | Power
 
 val metric_name : metric -> string
 
@@ -41,4 +41,8 @@ val certify :
   certificate
 (** Certify one lens direction; the partition is refined adaptively
     (4, 8, 16, ... up to [max_cells], default 32) until the chain
-    closes or the budget is exhausted. *)
+    closes or the budget is exhausted.  Each cell evaluates only the
+    metric ({!Aeval.metric}).  When a chain fails and no cell read a
+    field the lens moves, the budget counts as exhausted at once: for
+    a lens setter monotone in its scale, every finer cell would
+    evaluate the same interval. *)

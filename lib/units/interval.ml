@@ -25,11 +25,42 @@ let top = { lo = Float.neg_infinity; hi = Float.infinity }
 let is_top t = t.lo = Float.neg_infinity && t.hi = Float.infinity
 
 (* Two ulps of outward rounding per computed endpoint; infinite
-   endpoints stay put (Float.pred infinity would *shrink* the bound). *)
-let down x =
-  if Float.is_finite x then Float.pred (Float.pred x) else x
+   endpoints stay put (Float.pred infinity would *shrink* the bound).
 
-let up x = if Float.is_finite x then Float.succ (Float.succ x) else x
+   The steps move the IEEE bit pattern instead of calling [Float.pred]
+   twice: read as a signed integer, the bits of a non-negative double
+   grow with its value and those of a negative one with its magnitude,
+   so two ulps are two integer steps.  Two cases need care: steps that
+   cross zero (+0 and -0 are one ulp apart, as in [Float.pred]), and
+   steps past the largest finite double, which land on the infinity
+   instead of the NaN patterns beyond it. *)
+let pos_inf_bits = Int64.bits_of_float Float.infinity
+let neg_inf_bits = Int64.bits_of_float Float.neg_infinity
+
+let down x =
+  if not (Float.is_finite x) then x
+  else
+    let b = Int64.bits_of_float x in
+    if b > 1L then Int64.float_of_bits (Int64.sub b 2L)
+    else if b >= 0L then
+      (* +0 or the smallest positive subnormal: below zero by 2 - b. *)
+      Int64.float_of_bits (Int64.logor Int64.min_int (Int64.sub 2L b))
+    else
+      let r = Int64.add b 2L in
+      if r > neg_inf_bits then Float.neg_infinity else Int64.float_of_bits r
+
+let up x =
+  if not (Float.is_finite x) then x
+  else
+    let b = Int64.bits_of_float x in
+    if b >= 0L then
+      let r = Int64.add b 2L in
+      if r > pos_inf_bits then Float.infinity else Int64.float_of_bits r
+    else if b < Int64.add Int64.min_int 2L then
+      (* -0 or the smallest negative subnormal: above zero by 2 minus
+         its magnitude. *)
+      Int64.float_of_bits (Int64.sub 2L (Int64.sub b Int64.min_int))
+    else Int64.float_of_bits (Int64.sub b 2L)
 
 (* Normalising constructor: NaN endpoints widen to the corresponding
    infinity, inverted endpoints are swapped. *)

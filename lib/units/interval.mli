@@ -6,11 +6,25 @@
     from the operand intervals: each computed endpoint is widened
     outward by two ulps, which absorbs both the endpoint arithmetic's
     own rounding and the half-ulp of the mirrored concrete operation.
-    Operations whose endpoint arithmetic degenerates (NaN, division by
-    an interval containing zero) widen to [-inf, +inf] ("top"), so the
-    domain is total and never unsound. *)
+    The two ulps are stepped on the double's bit pattern ({!down},
+    {!up}), not by library calls.  Operations whose endpoint
+    arithmetic degenerates (NaN, division by an interval containing
+    zero) widen to [-inf, +inf] ("top"), so the domain is total and
+    never unsound. *)
 
 type t = private { lo : float; hi : float }
+
+val down : float -> float
+(** Two ulps below a finite double, exactly [Float.pred (Float.pred x)]
+    (so [down 0.0] is [-2] times the smallest subnormal and [down
+    (-. max_float)] is [neg_infinity]); infinities and NaN are
+    returned unchanged.  The outward rounding of every computed lower
+    endpoint. *)
+
+val up : float -> float
+(** Two ulps above a finite double, exactly [Float.succ (Float.succ
+    x)]; infinities and NaN unchanged.  The outward rounding of every
+    computed upper endpoint. *)
 
 val top : t
 val is_top : t -> bool

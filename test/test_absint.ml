@@ -73,6 +73,34 @@ let test_interval_basics () =
   Helpers.check_true "split covers"
     (I.contains a 1.0 && I.contains b 3.0 && (a : I.t).hi = (b : I.t).lo)
 
+(* Outward rounding steps the bit pattern; the reference is two
+   library steps on finite doubles, infinities and NaN kept. *)
+let test_rounding_steps =
+  let reference step x = if Float.is_finite x then step (step x) else x in
+  let same a b =
+    Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+    || (Float.is_nan a && Float.is_nan b)
+  in
+  let specials =
+    [ 0.0; -0.0; 5e-324; -5e-324; Float.max_float; -.Float.max_float;
+      Float.infinity; Float.neg_infinity; Float.nan ]
+  in
+  QCheck.Test.make ~name:"interval rounding steps two ulps" ~count:5000
+    QCheck.(
+      make ~print:(fun x -> Printf.sprintf "%h" x)
+        Gen.(
+          oneof
+            [ oneofl specials;
+              map Int64.float_of_bits
+                (map2
+                   (fun hi lo ->
+                     Int64.logor (Int64.shift_left (Int64.of_int hi) 32)
+                       (Int64.of_int lo))
+                   (int_bound 0xFFFFFFFF) (int_bound 0xFFFFFFFF)) ]))
+    (fun x ->
+      same (I.down x) (reference Float.pred x)
+      && same (I.up x) (reference Float.succ x))
+
 (* ----- boxes and per-stage containment ----------------------------- *)
 
 (* A random box over the stock lens inventory plus a concrete member:
@@ -170,7 +198,20 @@ let stage_containment (specs, p) =
          (I.to_string interval)
    | None, None -> ()
    | _ -> Alcotest.fail "energy/bit: abstract and concrete disagree");
-  true
+  (* The metric-only evaluation behind the monotonicity cells gives
+     the full pipeline's power and energy per bit, bit for bit. *)
+  let same_bits a b =
+    match (a, b) with
+    | Some (x : I.t), Some (y : I.t) ->
+      Int64.equal (Int64.bits_of_float x.lo) (Int64.bits_of_float y.lo)
+      && Int64.equal (Int64.bits_of_float x.hi) (Int64.bits_of_float y.hi)
+    | None, None -> true
+    | _ -> false
+  in
+  same_bits (Aeval.metric box pattern Aeval.Power) (Some stages.Aeval.power)
+  && same_bits
+       (Aeval.metric box pattern Aeval.Energy_per_bit)
+       stages.Aeval.energy_per_bit
 
 let test_stage_containment =
   QCheck.Test.make
@@ -374,6 +415,188 @@ let test_monotone_interface () =
   | Some Monotone.Increasing -> ()
   | _ -> Alcotest.fail "energy/bit not certified increasing in DQ load"
 
+(* ----- monotonicity: every partition against the early exit ------- *)
+
+(* The certifier without its flat-axis exit: every partition from 4
+   up to [max_cells] evaluated through the full [Aeval.analyze]. *)
+let reference_certify ~max_cells ~base ~(lens : Lenses.t) ~lo ~hi ~metric
+    pattern =
+  let certificate direction cells =
+    {
+      Monotone.lens = lens.Lenses.name;
+      group = lens.Lenses.group;
+      metric;
+      lo;
+      hi;
+      direction;
+      cells;
+      resolution = 2.0 *. ((hi -. lo) /. float_of_int cells);
+    }
+  in
+  let concrete s =
+    let r = Model.pattern_power (Lenses.scale lens s base) pattern in
+    match metric with
+    | Monotone.Power -> Some r.Report.power
+    | Monotone.Energy_per_bit -> r.Report.energy_per_bit
+  in
+  let abstract a b =
+    let s = Aeval.analyze (Abox.v ~base [ Abox.axis lens ~lo:a ~hi:b ]) pattern in
+    match metric with
+    | Monotone.Power -> Some s.Aeval.power
+    | Monotone.Energy_per_bit -> s.Aeval.energy_per_bit
+  in
+  match (concrete lo, concrete hi) with
+  | Some at_lo, Some at_hi ->
+    let direction =
+      if at_lo <= at_hi then Monotone.Increasing else Monotone.Decreasing
+    in
+    let ordered (a : I.t) (b : I.t) =
+      match direction with
+      | Monotone.Increasing -> a.hi <= b.lo
+      | Monotone.Decreasing -> b.hi <= a.lo
+    in
+    let rec refine cells =
+      if cells > max_cells then certificate None max_cells
+      else
+        let at i =
+          lo +. ((hi -. lo) *. (float_of_int i /. float_of_int cells))
+        in
+        let cell k =
+          abstract
+            (if k = 0 then lo else at k)
+            (if k = cells - 1 then hi else at (k + 1))
+        in
+        let intervals = List.init cells cell in
+        if
+          List.exists
+            (function Some i -> not (I.is_finite i) | None -> true)
+            intervals
+        then certificate None cells
+        else
+          let iv = Array.of_list (List.map Option.get intervals) in
+          if List.for_all (fun k -> ordered iv.(k) iv.(k + 2))
+               (List.init (cells - 2) Fun.id)
+          then certificate (Some direction) cells
+          else refine (2 * cells)
+    in
+    refine 4
+  | _ -> certificate None 4
+
+let shipped_configs () =
+  let module D = Vdram_configs.Devices in
+  let n65 = Vdram_tech.Node.N65 in
+  [ D.sdr_128m; D.ddr_256m; D.ddr2_1g ~node:n65 (); D.ddr3_1g ~node:n65 ();
+    D.ddr3_2g; D.ddr4_4g; D.ddr5_16g ]
+
+let metric_of p =
+  if Pattern.count p Pattern.Rd + Pattern.count p Pattern.Wr > 0 then
+    Monotone.Energy_per_bit
+  else Monotone.Power
+
+let lens_named name =
+  match Lenses.find name with
+  | Some l -> l
+  | None -> Alcotest.failf "lens %S missing" name
+
+let check_against_reference ?(max_cells = 32) ~base ~lens ~lo ~hi pattern =
+  let metric = metric_of pattern in
+  let got =
+    Monotone.certify ~max_cells ~base ~lens ~lo ~hi ~metric pattern
+  in
+  let want =
+    reference_certify ~max_cells ~base ~lens ~lo ~hi ~metric pattern
+  in
+  if got <> want then
+    Alcotest.failf "%s over [%.17g, %.17g] on %s/%s: %s at %d cells, \
+                    reference %s at %d"
+      lens.Lenses.name lo hi base.Config.name pattern.Pattern.name
+      (match got.Monotone.direction with
+       | Some d -> Monotone.direction_name d
+       | None -> "null")
+      got.Monotone.cells
+      (match want.Monotone.direction with
+       | Some d -> Monotone.direction_name d
+       | None -> "null")
+      want.Monotone.cells;
+  got
+
+(* Random sub-ranges of every default axis, every test pattern, every
+   shipped configuration; then the pairs whose metric never reads the
+   axis, which take the early exit; then a lens whose chain closes only
+   on a finer partition, where the certifier must refine, not exit. *)
+let test_monotone_reference () =
+  let rng = Random.State.make [| 0x0ce115 |] in
+  List.iter
+    (fun base ->
+      List.iter
+        (fun (lens : Lenses.t) ->
+          List.iter
+            (fun pattern ->
+              let rlo, rhi = lens.Lenses.range in
+              let draw () = rlo +. Random.State.float rng (rhi -. rlo) in
+              let a = draw () and b = draw () in
+              let max_cells = if Random.State.bool rng then 32 else 5 in
+              ignore
+                (check_against_reference ~max_cells ~base ~lens
+                   ~lo:(Float.min a b) ~hi:(Float.max a b) pattern))
+            (patterns base))
+        (Lenses.voltages @ Lenses.interface))
+    (shipped_configs ());
+  List.iter
+    (fun base ->
+      let spec = base.Config.spec in
+      List.iter
+        (fun (name, pattern) ->
+          let lens = lens_named name in
+          let lo, hi = lens.Lenses.range in
+          let box = Abox.v ~base [ Abox.default_axis lens ] in
+          ignore (Aeval.metric box pattern (metric_of pattern));
+          if Abox.moved box then
+            Alcotest.failf "%s moved a field %s reads" name
+              pattern.Pattern.name;
+          let c = check_against_reference ~base ~lens ~lo ~hi pattern in
+          Helpers.check_true
+            (Printf.sprintf "%s under %s is exhausted" name
+               pattern.Pattern.name)
+            (c.Monotone.direction = None && c.Monotone.cells = 32))
+        [ ("DQ receiver load", Pattern.idd4r spec);
+          ("wordline voltage Vpp", Pattern.idd4r spec);
+          ("data toggle rate", Pattern.idd0 spec) ])
+    (shipped_configs ());
+  (* Vint rises as the square of the scale and its generator
+     efficiency with the scale: the two reads pull each Vint energy
+     opposite ways, and interval dependency widens every cell until
+     the partition is fine enough. *)
+  let module Domains = Vdram_circuits.Domains in
+  let lens =
+    {
+      Lenses.name = "Vint squared with its efficiency";
+      group = Lenses.Voltage;
+      range = (0.2, 5.0);
+      dirties = [];
+      get = (fun _ -> 1.0);
+      set =
+        (fun cfg f ->
+          let d = cfg.Config.domains in
+          Config.with_domains cfg
+            {
+              d with
+              Domains.vint = d.Domains.vint *. f *. f;
+              eff_int = d.Domains.eff_int *. f;
+            });
+    }
+  in
+  let base = Lazy.force Helpers.sdr_128m in
+  List.iter
+    (fun pattern ->
+      let c =
+        check_against_reference ~base ~lens ~lo:0.2 ~hi:5.0 pattern
+      in
+      Helpers.check_true
+        (Printf.sprintf "%s certified past four cells" pattern.Pattern.name)
+        (c.Monotone.direction <> None && c.Monotone.cells > 4))
+    (patterns base)
+
 let suite =
   [
     Alcotest.test_case "interval basics" `Quick test_interval_basics;
@@ -389,4 +612,7 @@ let suite =
     Alcotest.test_case "monotone: power vs Vdd" `Quick test_monotone_vdd;
     Alcotest.test_case "monotone: energy/bit vs DQ load" `Quick
       test_monotone_interface;
+    Helpers.qcheck test_rounding_steps;
+    Alcotest.test_case "monotone: certify equals full refinement" `Quick
+      test_monotone_reference;
   ]
