@@ -828,11 +828,13 @@ let check_cmd =
          (match String.split_on_char ':' r with
           | [ lo; hi ] ->
             (match (float_of_string_opt lo, float_of_string_opt hi) with
-             | Some lo, Some hi when lo > 0.0 && lo <= hi ->
+             | Some lo, Some hi
+               when Float.is_finite lo && Float.is_finite hi && lo > 0.0
+                    && lo <= hi ->
                Ok (Abox.axis lens ~lo ~hi)
              | _ ->
                Error
-                 (Printf.sprintf "bad range %S (want 0 < LO <= HI)" r))
+                 (Printf.sprintf "bad range %S (want finite 0 < LO <= HI)" r))
           | _ -> Error (Printf.sprintf "bad range %S (want LO:HI)" r)))
   in
   let pp_interval ppf (i : I.t) =
@@ -896,8 +898,17 @@ let check_cmd =
     let check =
       lazy
         (let axes =
-           if lens_specs <> [] then
-             List.map (fun s -> get (parse_axis s)) lens_specs
+           if lens_specs <> [] then begin
+             let axes = List.map (fun s -> get (parse_axis s)) lens_specs in
+             ignore
+               (List.fold_left
+                  (fun seen (a : Abox.axis) ->
+                    let name = a.Abox.lens.Lenses.name in
+                    if List.mem name seen then fail "lens %S given twice" name;
+                    name :: seen)
+                  [] axes);
+             axes
+           end
            else if all_lenses then List.map Abox.default_axis Lenses.all
            else Check.default_axes ()
          in

@@ -2,19 +2,24 @@
     extraction, background power, pattern mix — over interval-valued
     configurations.
 
-    Every function transcribes its concrete counterpart operation for
-    operation in the same association order, so by induction each
-    concrete intermediate of evaluating any member of the box lies
-    inside the mirrored interval.  The per-stage qcheck property in
-    the test suite exercises this correspondence on random boxes.
-    {!analyze} and {!metric} share one copy of the pattern mix;
-    [metric] feeds it only the operation energies it asks for. *)
+    Extraction is the interval compilation of the same source the
+    concrete model compiles for floats (Devices, the charge models of
+    [lib/circuits], the chunk plan of [lib/core]), read through the
+    box's accessors, so by induction each concrete intermediate of
+    evaluating any member of the box lies inside the corresponding
+    interval.  The pattern mix transcribes [Model]'s.  The per-stage
+    qcheck property in the test suite exercises this correspondence on
+    random boxes.  {!analyze} and {!metric} share one copy of the
+    pattern mix; [metric] feeds it only the operation energies it asks
+    for. *)
 
-type contribution = {
+type 'e gen = 'e Vdram_circuits.Contribution.gen = {
   label : string;
   domain : Vdram_circuits.Domains.domain;
-  energy : Vdram_units.Interval.t;
+  energy : 'e;
 }
+
+type contribution = Vdram_units.Interval.t gen
 
 type stages = {
   op_contributions :

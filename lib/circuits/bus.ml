@@ -1,71 +1,34 @@
-(* Signaling buses: wire segments with optional buffers. *)
+(* Signaling buses: the capacitance of a segment and the energy of a
+   bit and of an event.
 
+   Shared source, compiled for floats here and for intervals in
+   lib/absint: Num values only through Num, integers through Stdlib, no
+   branch on a Num.t, every read through [rd] (lib/tech/num.ml). *)
+
+open Num
+include Bus_types
 module P = Vdram_tech.Params
-module D = Vdram_tech.Devices
+module D = Devices
 
-type segment = {
-  name : string;
-  length : float;
-  buffer : (float * float) option;
-  mux : int option;
-  toggle : float;
-}
-
-let segment ?buffer ?mux ?(toggle = 1.0) ~name ~length () =
-  if length < 0.0 then invalid_arg "Bus.segment: negative length";
-  { name; length; buffer; mux; toggle }
-
-type role =
-  | Write_data
-  | Read_data
-  | Row_address
-  | Column_address
-  | Bank_address
-  | Command
-  | Clock
-
-let role_name = function
-  | Write_data -> "write data"
-  | Read_data -> "read data"
-  | Row_address -> "row address"
-  | Column_address -> "column address"
-  | Bank_address -> "bank address"
-  | Command -> "command"
-  | Clock -> "clock"
-
-type t = {
-  name : string;
-  role : role;
-  wires : int;
-  segments : segment list;
-}
-
-let v ~name ~role ~wires segments =
-  if wires <= 0 then invalid_arg "Bus.v: wires must be positive";
-  { name; role; wires; segments }
-
-let segment_capacitance (p : P.t) s =
-  let wire = p.c_wire_signal *. s.length in
+let segment_capacitance (p : P.t reader) s =
+  let wire = rd p (fun p -> p.c_wire_signal) * lit s.length in
   let buffer =
     match s.buffer with
-    | None -> 0.0
+    | None -> lit 0.0
     | Some (wn, wp) ->
-      D.device_cap p D.Logic ~w:wn ~l:p.lmin_logic
-      +. D.device_cap p D.Logic ~w:wp ~l:p.lmin_logic
+      let l = rd p (fun p -> p.lmin_logic) in
+      D.device_cap p D.Logic ~w:(lit wn) ~l
+      + D.device_cap p D.Logic ~w:(lit wp) ~l
   in
-  wire +. buffer
+  wire + buffer
 
-let energy_per_bit (p : P.t) (d : Domains.t) t =
+let energy_per_bit p (d : Domains.t reader) b =
+  let vint = rd d (fun d -> d.vint) in
   List.fold_left
     (fun acc s ->
       acc
-      +. s.toggle
-         *. Contribution.event ~cap:(segment_capacitance p s)
-              ~voltage:d.vint)
-    0.0 t.segments
+      + lit s.toggle
+        * Contribution.event ~cap:(segment_capacitance p s) ~voltage:vint)
+    (lit 0.0) b.segments
 
-let energy_per_event (p : P.t) (d : Domains.t) t =
-  float_of_int t.wires *. energy_per_bit p d t
-
-let total_length t =
-  List.fold_left (fun acc s -> acc +. s.length) 0.0 t.segments
+let energy_per_event p d b = of_int b.wires * energy_per_bit p d b

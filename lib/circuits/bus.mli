@@ -8,7 +8,7 @@
     floorplan (block center to block center) by the configuration
     layer before reaching this module. *)
 
-type segment = {
+type segment = Bus_types.segment = {
   name : string;
   length : float;                  (** resolved wire length, m *)
   buffer : (float * float) option; (** NMOS / PMOS width of a re-driver *)
@@ -21,7 +21,7 @@ val segment :
   length:float -> unit -> segment
 (** [toggle] defaults to 1.0. *)
 
-type role =
+type role = Bus_types.role =
   | Write_data
   | Read_data
   | Row_address
@@ -32,7 +32,7 @@ type role =
 
 val role_name : role -> string
 
-type t = {
+type t = Bus_types.t = {
   name : string;
   role : role;
   wires : int;   (** parallel wires (address bits, clock wires, ...) *)

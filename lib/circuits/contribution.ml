@@ -1,60 +1,19 @@
-(* Labelled per-operation energy contributions. *)
+(* Eq. 1: every charge or discharge event costs 1/2 C V^2, and an
+   operation's contributions summed at the external supply.
 
-type t = {
-  label : string;
-  domain : Domains.domain;
-  energy : float;
-}
+   Shared source, compiled for floats here and for intervals in
+   lib/absint: Num values only through Num, integers through Stdlib, no
+   branch on a Num.t, every read through [Num.rd] (lib/tech/num.ml). *)
 
-(* The circuit group a contribution bundle originates from: the
-   granularity of the staged engine's incremental delta-extraction.
-   One group per charge-model module (plus the DQ interface, which
-   lives at the configuration level). *)
-type group = Wordline | Sense_amp | Column | Bus | Interface | Logic
+include Contribution_types
 
-let groups = [ Wordline; Sense_amp; Column; Bus; Interface; Logic ]
-let group_count = 6
+type t = Num.t gen
 
-let group_index = function
-  | Wordline -> 0
-  | Sense_amp -> 1
-  | Column -> 2
-  | Bus -> 3
-  | Interface -> 4
-  | Logic -> 5
+let event ~cap ~voltage = Num.(lit 0.5 * cap * voltage * voltage)
 
-let group_name = function
-  | Wordline -> "wordline"
-  | Sense_amp -> "sense-amp"
-  | Column -> "column"
-  | Bus -> "bus"
-  | Interface -> "interface"
-  | Logic -> "logic"
-
-let v ~label ~domain ~energy = { label; domain; energy }
-
-let event ~cap ~voltage = 0.5 *. cap *. voltage *. voltage
-
-let events ~count ~cap ~voltage = count *. event ~cap ~voltage
-
-let scale f t = { t with energy = t.energy *. f }
+let events ~count ~cap ~voltage = Num.(count * event ~cap ~voltage)
 
 let total_at_vdd domains contributions =
   List.fold_left
-    (fun acc c -> acc +. Domains.at_vdd domains c.domain c.energy)
-    0.0 contributions
-
-let by_label contributions =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun c ->
-      let prev = Option.value ~default:0.0 (Hashtbl.find_opt tbl c.label) in
-      Hashtbl.replace tbl c.label (prev +. c.energy))
-    contributions;
-  let items = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
-  List.sort (fun (_, a) (_, b) -> Float.compare b a) items
-
-let pp ppf t =
-  Format.fprintf ppf "%s [%s]: %s" t.label
-    (Domains.domain_name t.domain)
-    (Vdram_units.Si.format_eng ~unit_symbol:"J" t.energy)
+    (fun acc c -> Num.(acc + Domains.at_vdd domains c.domain c.energy))
+    (Num.lit 0.0) contributions

@@ -5,13 +5,23 @@
     labelled bundle of such events, expressed as joules dissipated in
     one voltage domain each time the owning operation executes. *)
 
-type t = {
+type 'e gen = 'e Contribution_types.gen = {
   label : string;           (** breakdown group, e.g. ["bitline sensing"] *)
   domain : Domains.domain;  (** where the energy is dissipated *)
-  energy : float;           (** joules per operation occurrence *)
+  energy : 'e;              (** joules per operation occurrence *)
 }
+(** Polymorphic in the energy so that the interval compilation of the
+    charge models ([vdram check]) builds the same record. *)
 
-type group = Wordline | Sense_amp | Column | Bus | Interface | Logic
+type t = float gen
+
+type group = Contribution_types.group =
+  | Wordline
+  | Sense_amp
+  | Column
+  | Bus
+  | Interface
+  | Logic
 (** The circuit group a contribution originates from — one per charge
     model under [lib/circuits], plus the configuration-level DQ
     interface.  This is the granularity of the staged engine's
@@ -37,14 +47,9 @@ val event : cap:float -> voltage:float -> float
 val events : count:float -> cap:float -> voltage:float -> float
 (** [count] events of [1/2 C V^2]. *)
 
-val scale : float -> t -> t
-(** Multiply the energy of a contribution. *)
-
 val total_at_vdd : Domains.t -> t list -> float
 (** Total energy drawn from the external supply, accounting for
     generator efficiencies. *)
 
 val by_label : t list -> (string * float) list
 (** Internal energy summed per label, descending. *)
-
-val pp : Format.formatter -> t -> unit

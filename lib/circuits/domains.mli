@@ -6,11 +6,11 @@
     external Vdd.  Energy drawn in a derived domain costs
     [energy / efficiency] at the Vdd pins. *)
 
-type domain = Vdd | Vint | Vbl | Vpp
+type domain = Domains_types.domain = Vdd | Vint | Vbl | Vpp
 
 val domain_name : domain -> string
 
-type t = {
+type t = Domains_types.t = {
   vdd : float;
   vint : float;
   vbl : float;
@@ -38,8 +38,6 @@ val linear_efficiency : vdd:float -> vout:float -> float
 val pump_efficiency : vdd:float -> vout:float -> float
 (** Efficiency of a charge pump with integer multiplication factor
     [k = ceil (vout / vdd)]: [0.85 * vout / (k * vdd)]. *)
-
-val voltage : t -> domain -> float
 
 val efficiency : t -> domain -> float
 (** 1.0 for [Vdd]. *)

@@ -6,13 +6,13 @@
     gates, average device sizes and densities.  The gate count is the
     paper's fit parameter against datasheet currents. *)
 
-type trigger =
+type trigger = Logic_block_types.trigger =
   | Always
       (** toggles every control-clock cycle (clocking, input samplers) *)
   | On_operation of [ `Activate | `Precharge | `Read | `Write ] list
       (** evaluates once per occurrence of the listed operations *)
 
-type t = {
+type t = Logic_block_types.t = {
   name : string;
   gates : float;               (** number of gates in the block *)
   w_nmos : float;              (** average NMOS width, m *)

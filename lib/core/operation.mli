@@ -17,6 +17,11 @@ val index : kind -> int
 val of_index : int -> kind
 (** Inverse of {!index}; raises [Invalid_argument] outside [0, n). *)
 
+val to_trigger_op :
+  kind -> [ `Activate | `Precharge | `Read | `Write ] option
+(** The logic-block trigger the operation fires ([None] for Nop): the
+    name {!Plan.plan_of} knows an operation's chunk plan by. *)
+
 val segments :
   ?activated_bits:int ->
   Config.t ->

@@ -103,12 +103,23 @@ let test_rounding_steps =
 
 (* ----- boxes and per-stage containment ----------------------------- *)
 
+(* The seven shipped devices.  Three have folded bitlines (sdr_128m,
+   ddr_256m, ddr2_1g at 75 nm), which alone carry the bitline
+   multiplexer's gate load and junction. *)
+let shipped_devices =
+  lazy
+    (let module D = Vdram_configs.Devices in
+     let open Vdram_tech.Node in
+     [| D.sdr_128m; D.ddr_256m; D.ddr2_1g ~node:N75 (); D.ddr3_1g ~node:N65 ();
+        D.ddr3_2g; D.ddr4_4g; D.ddr5_16g |])
+
 (* A random box over the stock lens inventory plus a concrete member:
-   1–4 distinct axes, each over a random sub-range of (0.7, 1.3), and
-   one scale inside each. *)
+   a shipped device as the base, 1–4 distinct axes, each over a random
+   sub-range of (0.7, 1.3), and one scale inside each. *)
 let box_gen =
   QCheck.Gen.(
     let lenses = Array.of_list Lenses.all in
+    let* dev = int_bound 6 in
     let* n = int_range 1 4 in
     let* idxs =
       List.init n (fun _ -> int_bound (Array.length lenses - 1))
@@ -129,12 +140,13 @@ let box_gen =
            idxs)
     in
     let* p = int_bound 4 in
-    return (specs, p))
+    return (dev, specs, p))
 
 let box_case =
   QCheck.make
-    ~print:(fun (specs, p) ->
-      String.concat "; "
+    ~print:(fun (dev, specs, p) ->
+      (Lazy.force shipped_devices).(dev).Config.name ^ ": "
+      ^ String.concat "; "
         (List.map
            (fun ((l : Lenses.t), lo, hi, s) ->
              Printf.sprintf "%s in [%g,%g] at %g" l.Lenses.name lo hi s)
@@ -142,8 +154,8 @@ let box_case =
       ^ Printf.sprintf " (pattern %d)" p)
     box_gen
 
-let stage_containment (specs, p) =
-  let cfg = base () in
+let stage_containment (dev, specs, p) =
+  let cfg = (Lazy.force shipped_devices).(dev) in
   let axes =
     List.map (fun (lens, lo, hi, _) -> Abox.axis lens ~lo ~hi) specs
   in
@@ -597,6 +609,66 @@ let test_monotone_reference () =
         (c.Monotone.direction <> None && c.Monotone.cells > 4))
     (patterns base)
 
+(* ----- golden physics digests ------------------------------------- *)
+
+(* The seven shipped devices and the commodity device of every node and
+   I/O width. *)
+let digest_devices () =
+  Array.to_list (Lazy.force shipped_devices)
+  @ List.concat_map
+      (fun node ->
+        List.map
+          (fun io_width -> Config.commodity ~io_width ~node ())
+          [ 4; 8; 16 ])
+      Vdram_tech.Node.all
+
+(* Every concrete contribution and pattern power, and every abstract
+   contribution and power bound on the default box, printed exactly
+   (%h) and hashed: a change to either digest is a change to the
+   numbers the model or [vdram check] computes. *)
+let test_golden_digests () =
+  let concrete = Buffer.create 65536 and abstract = Buffer.create 65536 in
+  let axes = List.map Abox.default_axis (Lenses.voltages @ Lenses.interface) in
+  List.iter
+    (fun cfg ->
+      List.iter
+        (fun kind ->
+          List.iter
+            (fun (c : C.t) ->
+              Printf.bprintf concrete "%s %s %h\n" (Operation.name kind)
+                c.C.label c.C.energy)
+            (Operation.contributions cfg kind))
+        Operation.all;
+      let box = Abox.v ~base:cfg axes in
+      List.iter
+        (fun pattern ->
+          Printf.bprintf concrete "%s %h\n" pattern.Pattern.name
+            (Model.pattern_power cfg pattern).Report.power;
+          let s = Aeval.analyze box pattern in
+          List.iter
+            (fun (kind, cs) ->
+              List.iter
+                (fun (a : Aeval.contribution) ->
+                  let e = a.Aeval.energy in
+                  Printf.bprintf abstract "%s %s %h %h\n" (Operation.name kind)
+                    a.Aeval.label (e : I.t).lo (e : I.t).hi)
+                cs)
+            s.Aeval.op_contributions;
+          Printf.bprintf abstract "%s %h %h\n" pattern.Pattern.name
+            (s.Aeval.power : I.t).lo (s.Aeval.power : I.t).hi)
+        (patterns cfg))
+    (digest_devices ());
+  let check what want buf =
+    let got = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+    if got <> want then
+      Alcotest.failf
+        "%s digest %s, want %s: the physics changed; if that was \
+         intended, bump Model.version and update the digest"
+        what got want
+  in
+  check "concrete" "f99c887c2514e9e51c4afee3d5116e8a" concrete;
+  check "abstract" "9beaba94d2e000b58196173c19da7755" abstract
+
 let suite =
   [
     Alcotest.test_case "interval basics" `Quick test_interval_basics;
@@ -615,4 +687,5 @@ let suite =
     Helpers.qcheck test_rounding_steps;
     Alcotest.test_case "monotone: certify equals full refinement" `Quick
       test_monotone_reference;
+    Alcotest.test_case "golden physics digests" `Quick test_golden_digests;
   ]
