@@ -344,9 +344,14 @@ let batch_command name ~doc term =
 let power_cmd =
   let run device () =
     let config, p = get device in
+    (* One extraction prices all six patterns: [Model.pattern_power]
+       is [pattern_power_staged (extract cfg)].  It is taken at the
+       first evaluation, as [pattern_power] took it. *)
+    let extraction = lazy (Model.extract config) in
+    let eval cfg p = Model.pattern_power_staged (Lazy.force extraction) cfg p in
     (* Shared with [vdram serve]: same renderer, so a daemon response is
        byte-equal to this stdout. *)
-    Render.power ~eval:Model.pattern_power Format.std_formatter config p
+    Render.power ~eval Format.std_formatter config p
   in
   command "power" ~doc:"Compute power and currents of a device."
     Term.(const run $ with_pattern knob_device)

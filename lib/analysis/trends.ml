@@ -31,7 +31,7 @@ let point ?engine node =
   let engine =
     match engine with Some e -> e | None -> Engine.serial ()
   in
-  let cfg = Vdram_configs.Generations.at node in
+  let cfg = Config.commodity ~node () in
   let spec = cfg.Config.spec in
   let d = cfg.Config.domains in
   let epb pattern =
@@ -94,7 +94,7 @@ let category_shares ?engine ?supervisor () =
   in
   Supervise.map_jobs ?supervisor engine ~check
     (fun node ->
-      let cfg = Vdram_configs.Generations.at node in
+      let cfg = Config.commodity ~node () in
       let r = Engine.eval engine cfg (Pattern.idd7_mixed cfg.Config.spec) in
       let shares =
         List.map

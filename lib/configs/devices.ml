@@ -2,12 +2,7 @@
 
 module Node = Vdram_tech.Node
 module Config = Vdram_core.Config
-
-let mb n = n *. (2.0 ** 20.0)
-
-let page_for_width io_width =
-  (* Commodity parts: x16 uses a 2 KB page, x4/x8 a 1 KB page. *)
-  if io_width >= 16 then 16384 else 8192
+include Parts
 
 let sdr_128m =
   Config.commodity ~name:"128M SDR x16 170nm" ~node:Node.N170
@@ -16,22 +11,6 @@ let sdr_128m =
 let ddr_256m =
   Config.commodity ~name:"256M DDR x16 110nm" ~node:Node.N110
     ~density_bits:(mb 256.0) ()
-
-let ddr2_1g ?(io_width = 16) ?(datarate = 800e6) ~node () =
-  Config.commodity
-    ~name:
-      (Printf.sprintf "1G DDR2 x%d-%.0f %s" io_width (datarate /. 1e6)
-         (Node.name node))
-    ~standard:Node.Ddr2 ~node ~density_bits:(mb 1024.0) ~io_width ~datarate
-    ~page_bits:(page_for_width io_width) ~banks:8 ()
-
-let ddr3_1g ?(io_width = 16) ?(datarate = 1066e6) ~node () =
-  Config.commodity
-    ~name:
-      (Printf.sprintf "1G DDR3 x%d-%.0f %s" io_width (datarate /. 1e6)
-         (Node.name node))
-    ~standard:Node.Ddr3 ~node ~density_bits:(mb 1024.0) ~io_width ~datarate
-    ~page_bits:(page_for_width io_width) ~banks:8 ()
 
 let ddr3_2g =
   Config.commodity ~name:"2G DDR3 x16 55nm" ~node:Node.N55

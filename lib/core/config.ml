@@ -177,9 +177,10 @@ let representative_node = function
   | Node.Ddr4 -> Node.N31
   | Node.Ddr5 -> Node.N18
 
-let commodity ?name ?standard ?density_bits ?io_width ?datarate ?banks
-    ?page_bits ?bits_per_bitline ?bits_per_lwl ?style ?prefetch
-    ?(data_toggle = 0.5) ~node () =
+(* The specification group of [commodity], on its own: the roadmap
+   sweeps of `vdram check` and `vdram advise` need only this. *)
+let commodity_spec ?standard ?density_bits ?io_width ?datarate ?banks
+    ?page_bits ?prefetch ~node () =
   let g = Roadmap.generation node in
   let standard = Option.value ~default:(Node.standard node) standard in
   (* Interface-bound properties come from the standard's representative
@@ -210,20 +211,33 @@ let commodity ?name ?standard ?density_bits ?io_width ?datarate ?banks
   let rows_per_bank =
     density_bits /. float_of_int (banks * page_bits)
   in
+  Spec.v ~io_width ~datarate ~control_clock
+    ~bank_bits:(log2i banks)
+    ~row_bits:(log2i (int_of_float rows_per_bank))
+    ~col_bits:(log2i (page_bits / io_width))
+    ~prefetch:(Option.value ~default:gi.Roadmap.prefetch prefetch)
+    ~burst_length:
+      (max 4 (Option.value ~default:gi.Roadmap.burst_length prefetch))
+    ~banks ~density_bits
+    ~trc:(if native then g.Roadmap.trc else Float.max g.Roadmap.trc gi.Roadmap.trc)
+    ~trcd:(if native then g.Roadmap.trcd else Float.max g.Roadmap.trcd gi.Roadmap.trcd)
+    ~trp:(if native then g.Roadmap.trp else Float.max g.Roadmap.trp gi.Roadmap.trp)
+    ()
+
+let generation_spec (g : Roadmap.t) = commodity_spec ~node:g.Roadmap.node ()
+
+let commodity ?name ?standard ?density_bits ?io_width ?datarate ?banks
+    ?page_bits ?bits_per_bitline ?bits_per_lwl ?style ?prefetch
+    ?(data_toggle = 0.5) ~node () =
   let spec =
-    Spec.v ~io_width ~datarate ~control_clock
-      ~bank_bits:(log2i banks)
-      ~row_bits:(log2i (int_of_float rows_per_bank))
-      ~col_bits:(log2i (page_bits / io_width))
-      ~prefetch:(Option.value ~default:gi.Roadmap.prefetch prefetch)
-      ~burst_length:
-        (max 4 (Option.value ~default:gi.Roadmap.burst_length prefetch))
-      ~banks ~density_bits
-      ~trc:(if native then g.Roadmap.trc else Float.max g.Roadmap.trc gi.Roadmap.trc)
-      ~trcd:(if native then g.Roadmap.trcd else Float.max g.Roadmap.trcd gi.Roadmap.trcd)
-      ~trp:(if native then g.Roadmap.trp else Float.max g.Roadmap.trp gi.Roadmap.trp)
-      ()
+    commodity_spec ?standard ?density_bits ?io_width ?datarate ?banks
+      ?page_bits ?prefetch ~node ()
   in
+  let g = Roadmap.generation node in
+  let standard = Option.value ~default:(Node.standard node) standard in
+  let gi = Roadmap.generation (representative_node standard) in
+  let page_bits = Option.value ~default:gi.Roadmap.page_bits page_bits in
+  let { Spec.density_bits; io_width; datarate; banks; _ } = spec in
   let f = Node.feature_size node in
   (* A folded architecture implies the 8F2 cell, an open one 6F2 or
      denser; an explicit style override carries its cell factor. *)

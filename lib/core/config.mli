@@ -96,6 +96,10 @@ val commodity :
 val of_generation : Vdram_tech.Roadmap.t -> t
 (** [commodity] for a roadmap generation record. *)
 
+val generation_spec : Vdram_tech.Roadmap.t -> Spec.t
+(** [(of_generation g).spec], built by the same code without the rest
+    of the configuration. *)
+
 (* Functional updates used by sensitivity analysis and scheme
    evaluation. *)
 

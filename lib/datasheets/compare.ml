@@ -4,7 +4,7 @@ module Node = Vdram_tech.Node
 module Config = Vdram_core.Config
 module Pattern = Vdram_core.Pattern
 module Model = Vdram_core.Model
-module Devices = Vdram_configs.Devices
+module Parts = Vdram_configs.Parts
 
 type row = {
   point : Idd.point;
@@ -14,12 +14,12 @@ type row = {
 let device_for ~(family : Idd.family) ~node (p : Idd.point) =
   let datarate = float_of_int p.Idd.datarate_mbps *. 1e6 in
   match (family.Idd.standard, family.Idd.name) with
-  | Node.Ddr2, _ -> Devices.ddr2_1g ~io_width:p.Idd.io_width ~datarate ~node ()
+  | Node.Ddr2, _ -> Parts.ddr2_1g ~io_width:p.Idd.io_width ~datarate ~node ()
   | Node.Ddr3, "2G DDR3" ->
     Vdram_core.Config.commodity ~standard:Node.Ddr3 ~node
       ~density_bits:(2048.0 *. (2.0 ** 20.0))
       ~io_width:p.Idd.io_width ~datarate ~banks:8 ()
-  | Node.Ddr3, _ -> Devices.ddr3_1g ~io_width:p.Idd.io_width ~datarate ~node ()
+  | Node.Ddr3, _ -> Parts.ddr3_1g ~io_width:p.Idd.io_width ~datarate ~node ()
   | _ -> invalid_arg "Compare.device_for: only DDR2 and DDR3 families"
 
 let model_current ~family ~node p =

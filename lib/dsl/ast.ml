@@ -21,19 +21,30 @@ type section = {
 
 type t = section list
 
-let lower = String.lowercase_ascii
+(* [String.lowercase_ascii a = String.lowercase_ascii b], without the
+   copies. *)
+let equal_ci a b =
+  let n = String.length a in
+  n = String.length b
+  &&
+  let rec go i =
+    i = n
+    || Char.lowercase_ascii a.[i]
+       = Char.lowercase_ascii b.[i]
+       && go (i + 1)
+  in
+  go 0
 
-let arg stmt key =
-  let key = lower key in
-  List.assoc_opt key (List.map (fun (k, v) -> (lower k, v)) stmt.args)
+let rec assoc_ci key = function
+  | [] -> None
+  | (k, v) :: rest -> if equal_ci k key then Some v else assoc_ci key rest
 
-let arg_span stmt key =
-  let key = lower key in
-  List.assoc_opt key (List.map (fun (k, s) -> (lower k, s)) stmt.arg_spans)
+let arg stmt key = assoc_ci key stmt.args
+
+let arg_span stmt key = assoc_ci key stmt.arg_spans
 
 let find_sections t name =
-  let name = lower name in
-  List.filter (fun s -> lower s.section_name = name) t
+  List.filter (fun s -> equal_ci s.section_name name) t
 
 let pp_stmt ppf s =
   Format.fprintf ppf "%s" s.keyword;

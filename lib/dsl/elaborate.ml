@@ -80,16 +80,23 @@ let quantity ctx (stmt : Ast.stmt) key dim =
        err_arg ctx ~code:(literal_code kind) stmt key "%s: %s" key msg;
        None)
 
-let integer ctx (stmt : Ast.stmt) key =
+(* A whole number of at least [lo] (0 or 1).  A value past the int
+   range is refused too: [int_of_float] would wrap it. *)
+let integer_from lo ctx (stmt : Ast.stmt) key =
   match quantity ctx stmt key Q.Scalar with
   | None -> None
   | Some v ->
-    if Float.is_integer v && v >= 0.0 then Some (int_of_float v)
+    if Float.is_integer v && v >= float_of_int lo && v < 0x1p62 then
+      Some (int_of_float v)
     else begin
-      err_arg ctx ~code:"V0204" stmt key "%s must be a non-negative integer"
-        key;
+      err_arg ctx ~code:"V0204" stmt key "%s must be %s" key
+        (if v >= 0x1p62 then "an integer below 2^62"
+         else if lo = 0 then "a non-negative integer"
+         else "a positive integer");
       None
     end
+
+let integer = integer_from 0
 
 (* Collect all statements of the sections with a name. *)
 let stmts_of ast name =
@@ -522,7 +529,8 @@ let elaborate ast =
       let opt stmt key dim = Option.bind stmt (fun s -> quantity ctx s key dim) in
       let opt_int stmt key = Option.bind stmt (fun s -> integer ctx s key) in
       let io_width =
-        Option.value ~default:g.Roadmap.io_width (opt_int io "width")
+        Option.value ~default:g.Roadmap.io_width
+          (Option.bind io (fun s -> integer_from 1 ctx s "width"))
       in
       let datarate =
         Option.value ~default:g.Roadmap.datarate (opt io "datarate" Q.Datarate)
@@ -573,10 +581,15 @@ let elaborate ast =
             match quantity ctx s key dim with Some v -> Some v | None -> acc)
           None cell_stmts
       in
-      let cell_int key = Option.map int_of_float (cell key Q.Scalar) in
+      let cell_int lo key =
+        List.fold_left
+          (fun acc s ->
+            match integer_from lo ctx s key with Some v -> Some v | None -> acc)
+          None cell_stmts
+      in
       let f = Node.feature_size node in
       let page_bits =
-        Option.value ~default:g.Roadmap.page_bits (cell_int "page")
+        Option.value ~default:g.Roadmap.page_bits (cell_int 0 "page")
       in
       let style =
         match
@@ -601,15 +614,15 @@ let elaborate ast =
       in
       let geometry =
         Array_geometry.derive ~style
-          ~csl_blocks:(Option.value ~default:1 (cell_int "CSLblocks"))
+          ~csl_blocks:(Option.value ~default:1 (cell_int 0 "CSLblocks"))
           ~bank_bits:(density_bits /. float_of_int banks)
           ~page_bits
           ~bits_per_bitline:
             (Option.value ~default:g.Roadmap.bits_per_bitline
-               (cell_int "BitsPerBL"))
+               (cell_int 0 "BitsPerBL"))
           ~bits_per_lwl:
             (Option.value ~default:g.Roadmap.bits_per_lwl
-               (cell_int "BitsPerLWL"))
+               (cell_int 1 "BitsPerLWL"))
           ~wl_pitch:
             (Option.value
                ~default:(g.Roadmap.cell_factor /. 2.0 *. f)

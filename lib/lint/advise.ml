@@ -36,7 +36,6 @@ module Model = Vdram_core.Model
 module Timing = Vdram_sim.Timing
 module Legality = Vdram_sim.Legality
 module Energy_model = Vdram_sim.Energy_model
-module Roadmap = Vdram_tech.Roadmap
 module Loop_bound = Vdram_absint.Loop_bound
 module Si = Vdram_units.Si
 module Span = Vdram_diagnostics.Span
@@ -136,34 +135,11 @@ let trace_clean timing ~banks q =
   let issues, _ = Legality.replay_trace timing ~banks q in
   List.for_all (fun (i : Legality.issue) -> i.Legality.violations = []) issues
 
-(* Replay across all fourteen roadmap generations, grouped by bank
-   count and cleared through one {!Timing.worst_case} replay per
-   group when possible (see the `vdram check` sweep for why this is
-   sound); per-generation fallback otherwise. *)
+(* Legal at every roadmap generation: the `vdram check` sweep. *)
 let sweep_legal (p : Pattern.t) =
-  let gens = Roadmap.all in
-  let with_timing =
-    List.map (fun g -> (g, Timing.of_config (Config.of_generation g))) gens
-  in
-  let bank_counts =
-    List.sort_uniq compare (List.map (fun g -> g.Roadmap.banks) gens)
-  in
   List.for_all
-    (fun banks ->
-      let members =
-        List.filter (fun (g, _) -> g.Roadmap.banks = banks) with_timing
-      in
-      let worst =
-        match members with
-        | (_, t) :: rest ->
-          List.fold_left (fun acc (_, t) -> Timing.worst_case acc t) t rest
-        | [] -> assert false
-      in
-      fst (Legality.replay_pattern worst ~banks p) = []
-      || List.for_all
-           (fun (_, t) -> fst (Legality.replay_pattern t ~banks p) = [])
-           members)
-    bank_counts
+    (fun (r : Check.gen_result) -> r.Check.viols = [])
+    (Check.roadmap_results p)
 
 (* The verified-fix-it gate: authored-node legality, schedulability
    preserved when the original had it, whole-roadmap legality, and a

@@ -53,7 +53,8 @@ type gen_result = {
   viols : Legality.violation list;
 }
 
-(* Replay the pattern across all fourteen roadmap generations.  The
+(* Replay the pattern across all fourteen roadmap generations, each
+   timed from its specification alone ({!Timing.of_generation}).  The
    generations are grouped by bank count — the replay's bank rotation
    and the rank-level tRRD/tFAW gates depend on it — and each group is
    cleared with a single replay against the fold of
@@ -64,11 +65,7 @@ type gen_result = {
    (the converse does not hold). *)
 let roadmap_results (p : Pattern.t) =
   let gens = Roadmap.all in
-  let with_timing =
-    List.map
-      (fun g -> (g, Timing.of_config (Config.of_generation g)))
-      gens
-  in
+  let with_timing = List.map (fun g -> (g, Timing.of_generation g)) gens in
   let bank_counts =
     List.sort_uniq compare (List.map (fun g -> g.Roadmap.banks) gens)
   in

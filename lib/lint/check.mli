@@ -27,6 +27,21 @@ val metric_for : Vdram_core.Pattern.t -> Vdram_absint.Monotone.metric
 (** Energy per bit when the pattern moves data, average power
     otherwise. *)
 
+type gen_result = {
+  gen : Vdram_tech.Roadmap.t;
+  timing : Vdram_sim.Timing.t;  (** {!Vdram_sim.Timing.of_generation} *)
+  viols : Vdram_sim.Legality.violation list;
+      (** empty exactly when the loop is legal at [gen] *)
+}
+
+val roadmap_results : Vdram_core.Pattern.t -> gen_result list
+(** The pattern loop replayed at each of the fourteen roadmap
+    generations, in roadmap order.  Each bank-count group is cleared
+    by one replay against the {!Vdram_sim.Timing.worst_case} of its
+    members when that replay is legal, and replayed per generation
+    otherwise.  The [V09xx] sweep and the verified fix-its of
+    [vdram advise] both read it. *)
+
 val run :
   ?axes:Vdram_absint.Abox.axis list ->
   ?splits:int ->

@@ -174,21 +174,30 @@ let parse_node s =
      | None -> Error (Printf.sprintf "bad node %S" s))
 
 let commodity ?density_mbits ?io_width ?datarate node =
+  let positive x = Float.is_finite x && x > 0.0 in
   let rate =
     match datarate with
     | None -> Ok None
     | Some s ->
       (match Quantity.parse_dim Quantity.Datarate s with
-       | Ok v -> Ok (Some v)
+       | Ok v when positive v -> Ok (Some v)
+       | Ok _ -> Error (Printf.sprintf "bad datarate %S: must be finite and > 0" s)
        | Error e -> Error (Printf.sprintf "bad datarate %S: %s" s e))
   in
-  Result.map
-    (fun datarate ->
-      let density_bits =
-        Option.map (fun m -> m *. (2.0 ** 20.0)) density_mbits
-      in
-      Config.commodity ?density_bits ?io_width ?datarate ~node ())
-    rate
+  match (rate, io_width, density_mbits) with
+  | (Error _ as e), _, _ -> e
+  | _, Some w, _ when w < 1 ->
+    Error (Printf.sprintf "bad io width %d: must be >= 1" w)
+  | _, _, Some m when not (positive m) ->
+    Error (Printf.sprintf "bad density %g Mbit: must be finite and > 0" m)
+  | Ok datarate, _, _ ->
+    let density_bits =
+      Option.map (fun m -> m *. (2.0 ** 20.0)) density_mbits
+    in
+    (* The geometry refuses a density its banks cannot divide. *)
+    (match Config.commodity ?density_bits ?io_width ?datarate ~node () with
+     | config -> Ok config
+     | exception Invalid_argument msg -> Error msg)
 
 let resolve_config spec =
   match spec.source with

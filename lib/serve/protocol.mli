@@ -74,7 +74,10 @@ val commodity :
 (** The commodity device at a node with the CLI's knobs
     ([--density-mbits], [--io-width], [--datarate]).  A [datarate]
     that does not parse as a data rate (["1.6Gbps"] does, ["1.6"] and
-    ["garbage"] do not) is an error, never the default part. *)
+    ["garbage"] do not) is an error, never the default part.  So are
+    an [io_width] below 1, a density or data rate that is not finite
+    and positive, and a density the array geometry cannot divide
+    (with the geometry's message). *)
 
 val resolve_config :
   config_spec ->

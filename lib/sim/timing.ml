@@ -25,8 +25,7 @@ type t = {
 
 let cycles_of ~tck seconds = max 1 (int_of_float (Float.ceil (seconds /. tck)))
 
-let of_config (cfg : Config.t) =
-  let spec = cfg.Config.spec in
+let of_spec ~node (spec : Spec.t) =
   let tck = 1.0 /. spec.Spec.control_clock in
   let c = cycles_of ~tck in
   let trcd = c spec.Spec.trcd in
@@ -37,7 +36,7 @@ let of_config (cfg : Config.t) =
   let tccd = Spec.clocks_per_column_command spec in
   (* Bank groups arrive with DDR4: long tCCD within a group. *)
   let bank_groups =
-    match Vdram_tech.Node.standard cfg.Config.node with
+    match Vdram_tech.Node.standard node with
     | Vdram_tech.Node.Ddr4 | Vdram_tech.Node.Ddr5 ->
       max 1 (spec.Spec.banks / 4)
     | _ -> 1
@@ -72,6 +71,11 @@ let of_config (cfg : Config.t) =
     trfc = c trfc_s;
     txp = c 24e-9;
   }
+
+let of_config (cfg : Config.t) = of_spec ~node:cfg.Config.node cfg.Config.spec
+
+let of_generation (g : Vdram_tech.Roadmap.t) =
+  of_spec ~node:g.Vdram_tech.Roadmap.node (Config.generation_spec g)
 
 (* The elementwise-max timing set of two generations.  Every legality
    gate is [issue cycle + field] (or a max of such), monotone

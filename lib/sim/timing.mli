@@ -28,6 +28,11 @@ val of_config : Vdram_core.Config.t -> t
     tCCD from the burst occupancy, CAS latency from tRCD, tRFC from
     the device density (JEDEC-style 110–350 ns), tREFI = 7.8 us. *)
 
+val of_generation : Vdram_tech.Roadmap.t -> t
+(** [of_config (Config.of_generation g)], derived from the
+    generation's specification alone ({!Vdram_core.Config.generation_spec}):
+    the roadmap sweeps need no full configuration. *)
+
 val worst_case : t -> t -> t
 (** The hardest-to-satisfy combination of two timing sets: the
     elementwise max of every constraint window (and the min of the

@@ -274,6 +274,66 @@ let test_variant_roundtrip () =
     [ Vdram_configs.Variants.mobile ~node:Vdram_tech.Node.N55 ();
       Vdram_configs.Variants.graphics ~node:Vdram_tech.Node.N55 () ]
 
+(* Every integer key of Specification and CellArray, in every example,
+   set to values that once raised out of elaboration: a zero divisor,
+   a fraction that truncated to zero, a value past the int range.  The
+   first statement of a keyword wins in Specification, the last value
+   of a key in CellArray, so the override goes before or after the
+   file. *)
+let test_integer_keys_never_raise () =
+  let spec_keys =
+    [ ("IO", "width"); ("Control", "misc"); ("Control", "bankadd");
+      ("Control", "rowadd"); ("Control", "coladd"); ("Clock", "number");
+      ("Banks", "number"); ("Burst", "prefetch"); ("Burst", "length");
+      ("Interface", "receivers") ]
+  and cell_keys = [ "page"; "CSLblocks"; "BitsPerBL"; "BitsPerLWL" ]
+  and values = [ "0"; "1"; "-1"; "0.5"; "3"; "1e18"; "1e300" ] in
+  let examples =
+    List.filter
+      (fun f -> Filename.check_suffix f ".dram")
+      (Array.to_list (Sys.readdir "../examples"))
+  in
+  Helpers.check_true "examples found" (examples <> []);
+  List.iter
+    (fun name ->
+      let source =
+        In_channel.with_open_text (Filename.concat "../examples" name)
+          In_channel.input_all
+      in
+      let load what src =
+        match Elaborate.load_string src with
+        | result -> result
+        | exception e ->
+          Alcotest.failf "%s with %s raised %s" name what (Printexc.to_string e)
+      in
+      List.iter
+        (fun v ->
+          List.iter
+            (fun (kw, key) ->
+              ignore
+                (load (Printf.sprintf "%s %s=%s" kw key v)
+                   (Printf.sprintf "Specification\n%s %s=%s\n%s" kw key v
+                      source)))
+            spec_keys;
+          List.iter
+            (fun key ->
+              ignore
+                (load (Printf.sprintf "CellArray %s=%s" key v)
+                   (Printf.sprintf "%s\nFloorplanPhysical\nCellArray %s=%s\n"
+                      source key v)))
+            cell_keys)
+        values;
+      (* The two divisors are coded diagnostics at their key. *)
+      List.iter
+        (fun (what, src) ->
+          match load what src with
+          | Error e -> Alcotest.(check string) (name ^ " " ^ what) "V0204" e.Parser.code
+          | Ok _ -> Alcotest.failf "%s with %s elaborated" name what)
+        [ ("IO width=0", "Specification\nIO width=0\n" ^ source);
+          ("CellArray BitsPerLWL=0",
+           source ^ "\nFloorplanPhysical\nCellArray BitsPerLWL=0\n") ])
+    examples
+
 let dsl_fuzz_no_crash =
   QCheck.Test.make ~name:"parser never raises on junk" ~count:300
     QCheck.(string_of_size (Gen.int_range 0 200))
@@ -305,6 +365,8 @@ let suite =
     Alcotest.test_case "pattern case-insensitive" `Quick
       test_pattern_case_insensitive;
     Alcotest.test_case "variant round trip" `Slow test_variant_roundtrip;
+    Alcotest.test_case "integer keys never raise" `Quick
+      test_integer_keys_never_raise;
     Helpers.qcheck roundtrip_any_generation;
     Helpers.qcheck dsl_fuzz_no_crash;
   ]

@@ -733,7 +733,36 @@ let ddr3_example =
   List.find_opt Sys.file_exists
     [ "../examples/ddr3_1gb.dram"; "examples/ddr3_1gb.dram" ]
 
+let pattern_of loop =
+  match Pattern.parse ~name:"loop" loop with
+  | Ok p -> p
+  | Error e -> Alcotest.failf "pattern %S: %s" loop e
+
+let gen_name (r : Check.gen_result) =
+  Vdram_tech.Node.name r.Check.gen.Vdram_tech.Roadmap.node
+
 let test_check_sweep () =
+  (* A 12-cycle loop is legal at 36nm but not at 31nm or 25nm: the
+     16-bank group's worst-case replay rejects it, and only the
+     per-generation fallback tells its members apart. *)
+  let p = pattern_of "act nop nop rd nop nop pre nop nop nop nop nop" in
+  let results = Check.roadmap_results p in
+  List.iter
+    (fun (r : Check.gen_result) ->
+      let alone =
+        fst
+          (Legality.replay_pattern r.Check.timing
+             ~banks:r.Check.gen.Vdram_tech.Roadmap.banks p)
+      in
+      Alcotest.(check bool)
+        (gen_name r ^ " as replayed alone")
+        (alone = []) (r.Check.viols = []))
+    results;
+  let legal_at name =
+    (List.find (fun r -> gen_name r = name) results).Check.viols = []
+  in
+  Helpers.check_true "legal at 36nm" (legal_at "36nm");
+  Helpers.check_true "rejected at 31nm" (not (legal_at "31nm"));
   match ddr3_example with
   | None -> ()
   | Some path ->
@@ -770,6 +799,22 @@ let test_check_sweep () =
            (fun (e : Certificate.sweep_entry) -> e.Certificate.legal)
            s.Certificate.entries)
     | _ -> Alcotest.fail "certificate expected after the fix"
+
+(* The sweep times each generation from its specification alone; the
+   timings must be those of the full configuration, field for field. *)
+let test_sweep_timings_from_specs () =
+  let timing = Alcotest.testable Timing.pp ( = ) in
+  let results = Check.roadmap_results (pattern_of "act nop nop rd nop nop pre nop") in
+  Alcotest.(check int) "fourteen generations" 14 (List.length results);
+  List.iter2
+    (fun (g : Vdram_tech.Roadmap.t) (r : Check.gen_result) ->
+      let full = Vdram_core.Config.of_generation g in
+      Helpers.check_true (gen_name r ^ " in roadmap order") (r.Check.gen == g);
+      Helpers.check_true (gen_name r ^ " specification")
+        (Vdram_core.Config.generation_spec g = full.Vdram_core.Config.spec);
+      Alcotest.check timing (gen_name r ^ " timing")
+        (Timing.of_config full) r.Check.timing)
+    Vdram_tech.Roadmap.all results
 
 let test_check_samples () =
   (* The --samples cross-check: concrete configurations drawn from the
@@ -845,6 +890,8 @@ let suite =
       test_fix_multiline_render;
     Alcotest.test_case "fix idempotence" `Quick test_fix_idempotent;
     Alcotest.test_case "check sweep legality" `Quick test_check_sweep;
+    Alcotest.test_case "sweep timings from specifications" `Quick
+      test_sweep_timings_from_specs;
     Alcotest.test_case "check sampling cross-check" `Quick
       test_check_samples;
     Alcotest.test_case "check broken input" `Quick test_check_broken_input;

@@ -226,7 +226,24 @@ let protocol_decode () =
   rejected {|{"op":"corners","spread":-0.1}|};
   rejected ~id:(Json.Num 7.) {|{"id":7,"op":"sweep","lens":"vdd"}|};
   rejected {|["not","an","object"]|};
-  rejected {|{"no_op":true}|}
+  rejected {|{"no_op":true}|};
+  (* Commodity knobs the device cannot be built from are request
+     errors, as the CLI's usage errors are. *)
+  let node = Vdram_tech.Node.N65 in
+  List.iter
+    (fun (what, result) ->
+      match result with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "commodity with %s built a device" what)
+    [ ("io_width 0", Protocol.commodity ~io_width:0 node);
+      ("io_width -4", Protocol.commodity ~io_width:(-4) node);
+      ("density 0", Protocol.commodity ~density_mbits:0.0 node);
+      ("density -1", Protocol.commodity ~density_mbits:(-1.0) node);
+      ("density 1000", Protocol.commodity ~density_mbits:1000.0 node);
+      ("density nan", Protocol.commodity ~density_mbits:Float.nan node);
+      ("density inf", Protocol.commodity ~density_mbits:Float.infinity node);
+      ("datarate 0bps", Protocol.commodity ~datarate:"0bps" node);
+      ("datarate -1Gbps", Protocol.commodity ~datarate:"-1Gbps" node) ]
 
 let req s =
   match decode s with
@@ -563,6 +580,21 @@ let server_bad_frames () =
         (jstr e_spread "class");
       Alcotest.(check string) "out-of-range spread message"
         "field \"spread\" must be >= 0 and < 1" (jstr e_spread "message");
+      (* A device that cannot be built is the request's fault. *)
+      List.iter
+        (fun config ->
+          send_line fd
+            (Printf.sprintf {|{"id":"cfg","op":"eval","config":%s}|} config);
+          let e = one (recv_frames fd 1) in
+          Alcotest.(check string) ("class of config " ^ config) "bad_request"
+            (jstr e "class"))
+        [ {|{"io_width":0}|}; {|{"io_width":-4}|};
+          {|{"density_mbits":0}|}; {|{"density_mbits":-1}|};
+          {|{"density_mbits":1000}|}; {|{"density_mbits":1e999}|};
+          {|{"datarate":"0bps"}|}; {|{"datarate":"-1Gbps"}|};
+          {|{"source":"Device\nPart name=w node=65nm\nSpecification\nIO width=0\n"}|};
+          {|{"source":"Device\nPart name=w node=65nm\nFloorplanPhysical\nCellArray BitsPerLWL=0\n"}|}
+        ];
       (* Oversized line: rejected at the cap, stream resyncs at the
          next newline and the connection keeps working. *)
       send_raw fd (String.make 400 'x');
