@@ -177,6 +177,21 @@ let representative_node = function
   | Node.Ddr4 -> Node.N31
   | Node.Ddr5 -> Node.N18
 
+let rows_per_bank ~density_bits ~io_width ~banks ~page_bits =
+  if io_width < 1 || page_bits / io_width < 2 then
+    Error
+      ( `Io_width,
+        Printf.sprintf "bad io width %d: must be from 1 to half the %d-bit page"
+          io_width page_bits )
+  else
+    let rows = density_bits /. float_of_int (banks * page_bits) in
+    if rows >= 2.0 && rows < 0x1p62 then Ok rows
+    else
+      Error
+        ( `Density,
+          Printf.sprintf "bad density %g Mbit: %g rows per bank (want 2 to 2^62)"
+            (density_bits /. 1048576.0) rows )
+
 (* The specification group of [commodity], on its own: the roadmap
    sweeps of `vdram check` and `vdram advise` need only this. *)
 let commodity_spec ?standard ?density_bits ?io_width ?datarate ?banks
@@ -209,7 +224,9 @@ let commodity_spec ?standard ?density_bits ?io_width ?datarate ?banks
     match standard with Node.Sdr -> datarate | _ -> datarate /. 2.0
   in
   let rows_per_bank =
-    density_bits /. float_of_int (banks * page_bits)
+    match rows_per_bank ~density_bits ~io_width ~banks ~page_bits with
+    | Ok rows -> rows
+    | Error (_, msg) -> invalid_arg msg
   in
   Spec.v ~io_width ~datarate ~control_clock
     ~bank_bits:(log2i banks)

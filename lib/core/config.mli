@@ -72,6 +72,20 @@ val default_buses :
     the center-stripe pads through re-drivers into the banks, address
     and command distribution, and the clock trunk. *)
 
+val rows_per_bank :
+  density_bits:float ->
+  io_width:int ->
+  banks:int ->
+  page_bits:int ->
+  (float, [ `Io_width | `Density ] * string) result
+(** The rows in each bank of a die, or the input that leaves an address
+    bus with no wire and a message naming it.  The IO width must be from
+    1 to half the page, so the column address has a bit; the density
+    must give from 2 rows per bank, so the row address has one, to
+    below 2^62, so the count fits an [int].  {!commodity} raises
+    [Invalid_argument] with the message; the description language
+    reports it at the input's key. *)
+
 val commodity :
   ?name:string ->
   ?standard:Vdram_tech.Node.standard ->

@@ -80,21 +80,22 @@ let quantity ctx (stmt : Ast.stmt) key dim =
        err_arg ctx ~code:(literal_code kind) stmt key "%s: %s" key msg;
        None)
 
-(* A whole number of at least [lo] (0 or 1).  A value past the int
-   range is refused too: [int_of_float] would wrap it. *)
+(* [v], the value of [key], as a whole number of at least [lo] (0 or
+   1).  A value past the int range is refused too: [int_of_float] would
+   wrap it. *)
+let whole_from lo ctx (stmt : Ast.stmt) key v =
+  if Float.is_integer v && v >= float_of_int lo && v < 0x1p62 then
+    Some (int_of_float v)
+  else begin
+    err_arg ctx ~code:"V0204" stmt key "%s must be %s" key
+      (if v >= 0x1p62 then "an integer below 2^62"
+       else if lo = 0 then "a non-negative integer"
+       else "a positive integer");
+    None
+  end
+
 let integer_from lo ctx (stmt : Ast.stmt) key =
-  match quantity ctx stmt key Q.Scalar with
-  | None -> None
-  | Some v ->
-    if Float.is_integer v && v >= float_of_int lo && v < 0x1p62 then
-      Some (int_of_float v)
-    else begin
-      err_arg ctx ~code:"V0204" stmt key "%s must be %s" key
-        (if v >= 0x1p62 then "an integer below 2^62"
-         else if lo = 0 then "a non-negative integer"
-         else "a positive integer");
-      None
-    end
+  Option.bind (quantity ctx stmt key Q.Scalar) (whole_from lo ctx stmt key)
 
 let integer = integer_from 0
 
@@ -160,7 +161,10 @@ let apply_technology ctx ast tech =
           | Some dim ->
             if key = "bitspercsl" then begin
               match Q.classify Q.Scalar value with
-              | Ok v -> { tech with Params.bits_per_csl = int_of_float v }
+              | Ok v ->
+                (match whole_from 1 ctx stmt orig_key v with
+                 | Some n -> { tech with Params.bits_per_csl = n }
+                 | None -> tech)
               | Error (kind, msg) ->
                 err_arg ctx ~code:(literal_code kind) stmt orig_key "%s: %s"
                   key msg;
@@ -528,6 +532,19 @@ let elaborate ast =
       let interface = stmt_with ast "Specification" "Interface" in
       let opt stmt key dim = Option.bind stmt (fun s -> quantity ctx s key dim) in
       let opt_int stmt key = Option.bind stmt (fun s -> integer ctx s key) in
+      (* Keys that size a bus: a bus needs a wire. *)
+      let opt_wires stmt key =
+        Option.bind stmt (fun s -> integer_from 1 ctx s key)
+      in
+      (* A V0204 at [key] of [stmt], or at line 1 if it is absent. *)
+      let refuse stmt key fmt =
+        Printf.ksprintf
+          (fun msg ->
+            match stmt with
+            | Some s -> err_arg ctx ~code:"V0204" s key "%s" msg
+            | None -> err ctx ~code:"V0204" 1 "%s" msg)
+          fmt
+      in
       let io_width =
         Option.value ~default:g.Roadmap.io_width
           (Option.bind io (fun s -> integer_from 1 ctx s "width"))
@@ -546,11 +563,7 @@ let elaborate ast =
       let density_bits =
         match opt density "mbits" Q.Scalar with
         | Some m when m <= 0.0 ->
-          (match density with
-           | Some s ->
-             err_arg ctx ~code:"V0204" s "mbits"
-               "Density mbits must be positive, got %g" m
-           | None -> err ctx ~code:"V0204" 1 "Density mbits must be positive");
+          refuse density "mbits" "Density mbits must be positive, got %g" m;
           g.Roadmap.density_bits
         | Some m -> m *. (2.0 ** 20.0)
         | None -> g.Roadmap.density_bits
@@ -665,22 +678,31 @@ let elaborate ast =
         let rec go acc v = if v <= 1 then acc else go (acc + 1) (v / 2) in
         go 0 n
       in
-      let rows_per_bank = density_bits /. float_of_int (banks * page_bits) in
+      (* The fallbacks only let elaboration go on. *)
+      let rows_per_bank, io_width =
+        match Config.rows_per_bank ~density_bits ~io_width ~banks ~page_bits with
+        | Ok rows -> (rows, io_width)
+        | Error (input, msg) ->
+          (match input with
+           | `Io_width -> refuse io "width" "%s" msg
+           | `Density -> refuse density "mbits" "%s" msg);
+          (2.0, max 1 (page_bits / 2))
+      in
       let spec =
         Spec.v
-          ?clock_wires:(opt_int clock "number")
-          ?misc_control:(opt_int control "misc")
+          ?clock_wires:(opt_wires clock "number")
+          ?misc_control:(opt_wires control "misc")
           ~io_width ~datarate ~control_clock
           ~bank_bits:
             (Option.value ~default:(log2i banks) (opt_int control "bankadd"))
           ~row_bits:
             (Option.value
                ~default:(log2i (int_of_float rows_per_bank))
-               (opt_int control "rowadd"))
+               (opt_wires control "rowadd"))
           ~col_bits:
             (Option.value
                ~default:(log2i (page_bits / io_width))
-               (opt_int control "coladd"))
+               (opt_wires control "coladd"))
           ~prefetch ~burst_length ~banks ~density_bits ~trc ~trcd ~trp ()
       in
       (* Technology and voltages. *)

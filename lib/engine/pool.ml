@@ -16,6 +16,7 @@ let in_worker = Domain.DLS.new_key (fun () -> false)
 
 let spawn_failures = Atomic.make 0
 let degraded () = Atomic.get spawn_failures
+let spawn_failed () = Atomic.incr spawn_failures
 
 (* Workers steal a run of consecutive indices per fetch instead of one
    index: for µs-scale jobs the atomic fetch, the bounds check and the
@@ -77,7 +78,7 @@ let rec grow want =
     | (_ : unit Domain.t) ->
       incr helpers;
       grow want
-    | exception _ -> Atomic.incr spawn_failures
+    | exception _ -> spawn_failed ()
 
 let run_parallel ~jobs work =
   Mutex.lock lock;
@@ -111,8 +112,8 @@ let map ?chunk ~jobs f xs =
     in
     (* No point waking more workers than there are chunks. *)
     let jobs = min jobs ((n + chunk - 1) / chunk) in
-    (* Another map holds the helpers (two serve connections mapping at
-       once): this one runs on its caller, with the same output. *)
+    (* Another map holds the helpers (two serve lanes mapping at once):
+       this one runs on its caller, with the same output. *)
     if jobs <= 1 || not (Atomic.compare_and_set owned false true) then
       List.map f xs
     else begin

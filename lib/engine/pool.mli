@@ -40,7 +40,12 @@ val default_chunk : jobs:int -> int -> int
     length (exposed for tests). *)
 
 val degraded : unit -> int
-(** Helper domains that {!map} could not spawn since the process
-    started.  A failed spawn never fails the map: it runs on the
-    calling domain and the helpers there are, and a later map tries
-    to spawn again. *)
+(** Domains that could not be spawned since the process started:
+    {!map}'s helpers, and those counted by {!spawn_failed}.  A failed
+    spawn never fails the map: it runs on the calling domain and the
+    helpers there are, and a later map tries to spawn again. *)
+
+val spawn_failed : unit -> unit
+(** Count one more domain that could not be spawned in {!degraded}:
+    for domains spawned outside the pool (the serve daemon's lanes),
+    whose work then runs on a domain that already exists. *)

@@ -1,9 +1,14 @@
 (* The serve daemon.  Threading model: the caller's thread runs the
-   accept loop; each connection gets a systhread that reads frames and
-   handles requests sequentially; heavy lifting happens on the
-   engine's domain pool via the per-request supervisor, so connection
-   threads spend their time blocked in [select]/[Condition.wait] and
-   the runtime lock is not a throughput concern. *)
+   accept loop; each connection gets a systhread of the main domain
+   that reads and decodes frames, answers ping and stats, admits,
+   waits as a coalescing follower and writes every frame, one request
+   at a time.  Those threads share the domain's runtime lock, so
+   [compute] (resolve, elaborate, evaluate, render) runs on a lane
+   ({!Lanes}) while its connection thread blocks and writes the parts
+   the lane posts; a batch map on a lane takes the engine's pool
+   helpers when they are free.  No lane ever writes to a socket, so a
+   client that stops reading cannot hold up another connection's
+   computation. *)
 
 module Json = Vdram_json.Json
 module Engine = Vdram_engine.Engine
@@ -423,6 +428,7 @@ let stats_json t =
             ("injected", jint (Atomic.get t.c_injected));
             ( "by_class",
               Json.Obj (List.map (fun (k, n) -> (k, jint n)) by_class) );
+            ("degraded", jint (Vdram_engine.Pool.degraded ()));
           ] );
       ("draining", Json.Bool (Atomic.get t.draining));
       ("uptime_s", Json.Num (Unix.gettimeofday () -. t.started));
@@ -472,14 +478,15 @@ let handle_request t conn (req : Protocol.request) =
             unregister t p;
             ignore (Atomic.fetch_and_add t.inflight (-1) : int))
           (fun () ->
+            let on_lane () =
+              Lanes.run ~lanes:(Engine.jobs t.engine) ~on_post:(stream_part p)
+                (fun post -> compute t req ~on_part:post)
+            in
             let coalesced, outcome =
               match Protocol.work_key req with
-              | None -> (false, compute t req ~on_part:(stream_part p))
+              | None -> (false, on_lane ())
               | Some key ->
-                (match
-                   Coalesce.run t.coalesce ~key (fun () ->
-                       compute t req ~on_part:(stream_part p))
-                 with
+                (match Coalesce.run t.coalesce ~key on_lane with
                  | `Led o -> (false, o)
                  | `Shared o -> (true, o)
                  | exception e ->

@@ -24,10 +24,14 @@
     - {e bit identity}: the [text] of a clean response equals the
       stdout of the one-shot CLI for the same request ({!Render}).
 
-    Responses are written by the connection's own thread (and, during
-    drain, possibly by the drain thread) under a per-connection write
-    mutex; worker parallelism comes from the engine's domain pool, not
-    from the connection threads. *)
+    Responses are written by the connection's own thread (during
+    drain possibly by the drain thread) under a per-connection write
+    mutex.  Connection threads share the main domain's runtime lock,
+    so each computation runs on a {!Lanes} domain, of which there are
+    at most the engine's [jobs]; a computation that finds them all
+    busy runs on its connection thread.  A lane posts a sweep's parts
+    to its connection thread and never writes to a socket.  A batch
+    map on a lane takes the engine's pool helpers when they are free. *)
 
 type listener =
   | Unix_path of string  (** Unix-domain stream socket at this path *)

@@ -321,17 +321,27 @@ let test_integer_keys_never_raise () =
                 (load (Printf.sprintf "CellArray %s=%s" key v)
                    (Printf.sprintf "%s\nFloorplanPhysical\nCellArray %s=%s\n"
                       source key v)))
-            cell_keys)
+            cell_keys;
+          ignore
+            (load ("Set bitspercsl=" ^ v)
+               (Printf.sprintf "%s\nTechnology\nSet bitspercsl=%s\n" source v)))
         values;
-      (* The two divisors are coded diagnostics at their key. *)
+      (* The two divisors, the bus widths and the counts that size a bus
+         are coded diagnostics at their key. *)
       List.iter
         (fun (what, src) ->
           match load what src with
           | Error e -> Alcotest.(check string) (name ^ " " ^ what) "V0204" e.Parser.code
           | Ok _ -> Alcotest.failf "%s with %s elaborated" name what)
-        [ ("IO width=0", "Specification\nIO width=0\n" ^ source);
-          ("CellArray BitsPerLWL=0",
-           source ^ "\nFloorplanPhysical\nCellArray BitsPerLWL=0\n") ])
+        ([ ("CellArray BitsPerLWL=0",
+            source ^ "\nFloorplanPhysical\nCellArray BitsPerLWL=0\n");
+           ("Set bitspercsl=0", source ^ "\nTechnology\nSet bitspercsl=0\n");
+           ("Set bitspercsl=0.5", source ^ "\nTechnology\nSet bitspercsl=0.5\n") ]
+        @ List.map
+            (fun stmt -> (stmt, "Specification\n" ^ stmt ^ "\n" ^ source))
+            [ "IO width=0"; "Clock number=0"; "Control misc=0";
+              "Control rowadd=0"; "Control coladd=0"; "IO width=1e18";
+              "IO width=16384"; "Density mbits=1e300" ]))
     examples
 
 let dsl_fuzz_no_crash =

@@ -1,5 +1,6 @@
-(* The serve daemon: JSON framing, protocol decoding, coalescing and
-   the socket-level server (fault isolation, admission, drain).
+(* The serve daemon: JSON framing, protocol decoding, coalescing, the
+   lanes and the socket-level server (fault isolation, admission,
+   drain).
 
    Every server here gets an explicit fault plan ([Faults.none] unless
    the test injects), so a chaos [VDRAM_FAULTS] environment cannot
@@ -10,6 +11,7 @@ module Json = Vdram_json.Json
 module Protocol = Vdram_serve.Protocol
 module Render = Vdram_serve.Render
 module Coalesce = Vdram_serve.Coalesce
+module Lanes = Vdram_serve.Lanes
 module Server = Vdram_serve.Server
 module Engine = Vdram_engine.Engine
 module Faults = Vdram_engine.Faults
@@ -380,6 +382,103 @@ let coalesce_error_propagation () =
     (fun o -> Alcotest.(check string) "both callers re-raise" "raised boom" o)
     outcomes
 
+(* ----- lanes ----------------------------------------------------------- *)
+
+(* Each job waits until both have started, so they can only finish if
+   they run at once, on two lanes; the timeout turns a hang into a
+   failure. *)
+let lanes_run_at_once () =
+  let caller = (Domain.self () :> int) in
+  let started = Atomic.make 0 in
+  let job _post =
+    Atomic.incr started;
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.001
+    done;
+    (Atomic.get started, (Domain.self () :> int))
+  in
+  let results = Array.make 2 (0, caller) in
+  let threads =
+    List.init 2 (fun i ->
+        Thread.create
+          (fun () -> results.(i) <- Lanes.run ~lanes:2 ~on_post:ignore job)
+          ())
+  in
+  List.iter Thread.join threads;
+  Array.iter
+    (fun (seen, domain) ->
+      Alcotest.(check int) "both jobs started before either finished" 2 seen;
+      check_true "a job runs off the caller's domain" (domain <> caller))
+    results;
+  check_true "the jobs ran on two domains"
+    (snd results.(0) <> snd results.(1))
+
+(* With every lane busy a job runs on its caller at once.  Three jobs
+   that each wait until all three have started can only finish if the
+   third does not queue behind the two lanes.  No test uses more than
+   two lanes, so exactly one runs on the caller's domain. *)
+let lanes_never_queue () =
+  let caller = (Domain.self () :> int) in
+  let started = Atomic.make 0 in
+  let job _post =
+    Atomic.incr started;
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while Atomic.get started < 3 && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.001
+    done;
+    (Atomic.get started, (Domain.self () :> int))
+  in
+  let results = Array.make 3 (0, caller) in
+  let threads =
+    List.init 3 (fun i ->
+        Thread.create
+          (fun () -> results.(i) <- Lanes.run ~lanes:2 ~on_post:ignore job)
+          ())
+  in
+  List.iter Thread.join threads;
+  Array.iter
+    (fun (seen, _) ->
+      Alcotest.(check int) "all three started before any finished" 3 seen)
+    results;
+  Alcotest.(check int) "two on lanes, one on its caller" 1
+    (Array.fold_left
+       (fun n (_, domain) -> if domain = caller then n + 1 else n)
+       0 results)
+
+(* A job's messages are handled by the thread that submitted it, in
+   order, so a handler that blocks (a socket write) never holds the
+   lane. *)
+let lanes_post_on_caller () =
+  let caller = (Domain.self () :> int) in
+  let thread = Thread.id (Thread.self ()) in
+  let seen = ref [] in
+  let on_post m =
+    seen := (m, Thread.id (Thread.self ()), (Domain.self () :> int)) :: !seen
+  in
+  let domain =
+    Lanes.run ~lanes:1 ~on_post (fun post ->
+        List.iter post [ 1; 2; 3 ];
+        (Domain.self () :> int))
+  in
+  check_true "the job ran on a lane" (domain <> caller);
+  Alcotest.(check (list int)) "messages in order" [ 1; 2; 3 ]
+    (List.rev_map (fun (m, _, _) -> m) !seen);
+  List.iter
+    (fun (_, th, d) ->
+      check_true "handled on the submitting thread" (th = thread && d = caller))
+    !seen
+
+let lanes_reraise () =
+  (match
+     Lanes.run ~lanes:1 ~on_post:ignore (fun _ -> failwith "lane boom")
+   with
+   | () -> Alcotest.fail "the job's exception was lost"
+   | exception Failure m ->
+     Alcotest.(check string) "re-raised in the submitting thread" "lane boom" m);
+  Alcotest.(check int) "the lane runs the next job" 7
+    (Lanes.run ~lanes:1 ~on_post:ignore (fun _ -> 7))
+
 (* ----- socket-level server --------------------------------------------- *)
 
 let sock_counter = ref 0
@@ -591,6 +690,7 @@ let server_bad_frames () =
         [ {|{"io_width":0}|}; {|{"io_width":-4}|};
           {|{"density_mbits":0}|}; {|{"density_mbits":-1}|};
           {|{"density_mbits":1000}|}; {|{"density_mbits":1e999}|};
+          {|{"io_width":16384}|}; {|{"density_mbits":1e300}|};
           {|{"datarate":"0bps"}|}; {|{"datarate":"-1Gbps"}|};
           {|{"source":"Device\nPart name=w node=65nm\nSpecification\nIO width=0\n"}|};
           {|{"source":"Device\nPart name=w node=65nm\nFloorplanPhysical\nCellArray BitsPerLWL=0\n"}|}
@@ -659,12 +759,13 @@ let stall_plan per_item =
     corrupt_store = false;
   }
 
-let server_coalescing () =
+let server_coalescing ~jobs () =
   (* Every item stalls 80 ms in the mix stage, so the 8-sample corners
      computation holds its flight open for >0.6 s — room for the three
      followers to join.  The coalesce counters then prove exactly one
      computation ran: compute() is only ever invoked by a leader. *)
-  with_server ~faults:(stall_plan 0.08) (fun server path ->
+  with_server ~faults:(stall_plan 0.08) ~engine:(Engine.create ~jobs ())
+    (fun server path ->
       let n = 4 in
       let results = Array.make n None in
       let threads =
@@ -704,6 +805,44 @@ let server_coalescing () =
         List.length (List.filter (fun f -> jbool f "coalesced") frames)
       in
       Alcotest.(check int) "three responses marked coalesced" (n - 1) coalesced)
+
+(* A stall sleeps, which releases the runtime lock, so the test above
+   cannot tell whether connections take turns on it.  Here nothing
+   stalls: the leader's corners run is pure computation (tens of ms),
+   and the other connection joins its flight only if its thread can
+   read and decode while the leader computes.  A fresh spread per trial
+   keeps every trial off the engine's caches. *)
+let server_cpu_bound_flight () =
+  with_server (fun server path ->
+      let fds = [ connect path; connect path ] in
+      (* A ping on each first, so both connection threads are running. *)
+      List.iter
+        (fun fd ->
+          send_line fd {|{"id":"p","op":"ping"}|};
+          ignore (one (recv_frames fd 1) : Json.t))
+        fds;
+      for trial = 1 to 5 do
+        let led0, shared0 = Server.coalesce_counters server in
+        let line =
+          Printf.sprintf {|{"id":%d,"op":"corners","samples":1500,"spread":%g}|}
+            trial
+            (0.05 +. (0.01 *. float_of_int trial))
+        in
+        List.iter (fun fd -> send_line fd line) fds;
+        let frames = List.map (fun fd -> one (recv_frames fd 1)) fds in
+        List.iter
+          (fun f -> Alcotest.(check string) "flight ok" "ok" (jstr f "status"))
+          frames;
+        Alcotest.(check string) "both callers get one text"
+          (jstr (List.hd frames) "text")
+          (jstr (List.nth frames 1) "text");
+        let led, shared = Server.coalesce_counters server in
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "trial %d: one computation, one share" trial)
+          (1, 1)
+          (led - led0, shared - shared0)
+      done;
+      List.iter Unix.close fds)
 
 let server_fault_isolation () =
   let plan =
@@ -753,9 +892,9 @@ let server_deadline () =
         (jstr f "class");
       Unix.close fd)
 
-let server_overload () =
+let server_overload ~jobs () =
   with_server ~faults:(stall_plan 0.08) ~max_inflight:1
-    (fun _server path ->
+    ~engine:(Engine.create ~jobs ()) (fun _server path ->
       let fd1 = connect path in
       send_line fd1 {|{"id":"slow","op":"corners","samples":8}|};
       Thread.delay 0.25;
@@ -809,11 +948,38 @@ let server_sweep_streams () =
         (jstr (one (recv_frames fd 1)) "status");
       Unix.close fd)
 
-let server_drain_aborts () =
+(* One lane, and a client that sends a large sweep and never reads:
+   its part frames fill the socket buffers, so whoever writes them
+   blocks.  An eval on a second connection must still finish. *)
+let server_stuck_reader () =
+  with_server (fun _server path ->
+      let stuck = connect path in
+      let factors =
+        String.concat ","
+          (List.init 4800 (fun i ->
+               Printf.sprintf "%.6f" (0.9 +. (0.2 *. float_of_int i /. 4800.0))))
+      in
+      send_line stuck
+        (Printf.sprintf
+           {|{"id":"big","op":"sweep","lens":"external voltage Vdd","factors":[%s]}|}
+           factors);
+      Fun.protect
+        ~finally:(fun () -> Unix.close stuck)
+        (fun () ->
+          Thread.delay 0.5;
+          let fd = connect path in
+          send_line fd {|{"id":"e","op":"eval"}|};
+          (match recv_frames ~timeout:10.0 fd 1 with
+           | [ f ] ->
+             Alcotest.(check string) "the eval finishes" "ok" (jstr f "status")
+           | _ -> Alcotest.fail "the eval waited for the stuck client");
+          Unix.close fd))
+
+let server_drain_aborts ~jobs () =
   (* A request stalling ~1.5 s against a 0.2 s drain grace must be
      force-aborted with exactly one terminal frame. *)
   with_server ~faults:(stall_plan 0.15) ~drain_grace:0.2
-    (fun server path ->
+    ~engine:(Engine.create ~jobs ()) (fun server path ->
       let fd = connect path in
       send_line fd {|{"id":"long","op":"corners","samples":10}|};
       Thread.delay 0.3;
@@ -872,6 +1038,14 @@ let suite =
       coalesce_single_flight;
     Alcotest.test_case "coalesce: errors propagate to all" `Quick
       coalesce_error_propagation;
+    Alcotest.test_case "lanes: two jobs at once, off caller" `Quick
+      lanes_run_at_once;
+    Alcotest.test_case "lanes: a job never queues behind busy lanes" `Quick
+      lanes_never_queue;
+    Alcotest.test_case "lanes: messages are handled on the caller" `Quick
+      lanes_post_on_caller;
+    Alcotest.test_case "lanes: a job's exception re-raises" `Quick
+      lanes_reraise;
     Alcotest.test_case "server: ping, eval bit-identity, stats" `Quick
       server_basics;
     Alcotest.test_case "server: hostile frames" `Quick server_bad_frames;
@@ -879,15 +1053,26 @@ let suite =
       server_split_frames;
     Alcotest.test_case "server: half-closed socket" `Quick server_half_close;
     Alcotest.test_case "server: coalescing is counter-verified" `Quick
-      server_coalescing;
+      (server_coalescing ~jobs:1);
+    Alcotest.test_case "server jobs 2: coalescing" `Quick
+      (server_coalescing ~jobs:2);
+    Alcotest.test_case "server: a CPU-bound flight coalesces" `Quick
+      server_cpu_bound_flight;
     Alcotest.test_case "server: injected faults are isolated" `Quick
       server_fault_isolation;
     Alcotest.test_case "server: deadline classification" `Quick server_deadline;
-    Alcotest.test_case "server: admission control" `Quick server_overload;
+    Alcotest.test_case "server: admission control" `Quick
+      (server_overload ~jobs:1);
+    Alcotest.test_case "server jobs 2: admission control" `Quick
+      (server_overload ~jobs:2);
     Alcotest.test_case "server: sweep streams parts" `Quick
       server_sweep_streams;
+    Alcotest.test_case "server: a client that stops reading stalls no other"
+      `Quick server_stuck_reader;
     Alcotest.test_case "server: drain aborts with one terminal" `Quick
-      server_drain_aborts;
+      (server_drain_aborts ~jobs:1);
+    Alcotest.test_case "server jobs 2: drain aborts" `Quick
+      (server_drain_aborts ~jobs:2);
     Alcotest.test_case "server: drain flushes the store" `Quick
       server_drain_flushes_store;
   ]
