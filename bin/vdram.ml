@@ -350,8 +350,13 @@ let power_cmd =
     let extraction = lazy (Model.extract config) in
     let eval cfg p = Model.pattern_power_staged (Lazy.force extraction) cfg p in
     (* Shared with [vdram serve]: same renderer, so a daemon response is
-       byte-equal to this stdout. *)
-    Render.power ~eval Format.std_formatter config p
+       byte-equal to this stdout.  A report that is not finite is
+       refused, as the batch commands refuse it, before anything is
+       printed. *)
+    let text, reports = Render.power_text ~eval config p in
+    match List.find_map Supervise.finite_report reports with
+    | Some msg -> fail "%s" msg
+    | None -> print_string text
   in
   command "power" ~doc:"Compute power and currents of a device."
     Term.(const run $ with_pattern knob_device)

@@ -398,7 +398,13 @@ let logic_of_section ctx ast ~default =
               | None ->
                 err_kw ctx ~code:"V0205" stmt "Block needs gates=";
                 None
-              | Some _ -> quantity ctx stmt "gates" Q.Scalar
+              | Some _ ->
+                (match quantity ctx stmt "gates" Q.Scalar with
+                 | Some g when g < 0.0 ->
+                   err_arg ctx ~code:"V0204" stmt "gates"
+                     "gates must not be negative, got %g" g;
+                   None
+                 | g -> g)
             in
             let trigger =
               match Option.map lower (Ast.arg stmt "trigger") with
@@ -494,6 +500,10 @@ let axis_blocks ctx ast ~axis ~geometry =
     in
     Some (List.map2 block stmt.Ast.positional stmt.Ast.positional_spans)
 
+(* Raised once the V0204 for an input no configuration can be derived
+   from has been emitted. *)
+exception Refused
+
 let elaborate ast =
   let ctx = { diags = [] } in
   let result =
@@ -532,8 +542,9 @@ let elaborate ast =
       let interface = stmt_with ast "Specification" "Interface" in
       let opt stmt key dim = Option.bind stmt (fun s -> quantity ctx s key dim) in
       let opt_int stmt key = Option.bind stmt (fun s -> integer ctx s key) in
-      (* Keys that size a bus: a bus needs a wire. *)
-      let opt_wires stmt key =
+      (* Counts that size a bus (a bus needs a wire) or that the
+         specification divides by: at least one. *)
+      let opt_count stmt key =
         Option.bind stmt (fun s -> integer_from 1 ctx s key)
       in
       (* A V0204 at [key] of [stmt], or at line 1 if it is absent. *)
@@ -544,6 +555,18 @@ let elaborate ast =
             | Some s -> err_arg ctx ~code:"V0204" s key "%s" msg
             | None -> err ctx ~code:"V0204" 1 "%s" msg)
           fmt
+      in
+      (* A rule over several keys is refused at the first of [keys] the
+         description sets, and ends elaboration: nothing can be derived
+         from the inputs it refuses. *)
+      let refuse_first keys msg =
+        let set (stmt, key) =
+          Option.is_some (Option.bind stmt (fun s -> Ast.arg s key))
+        in
+        (match List.find_opt set keys with
+         | Some (stmt, key) -> refuse stmt key "%s" msg
+         | None -> refuse None "" "%s" msg);
+        raise Refused
       in
       let io_width =
         Option.value ~default:g.Roadmap.io_width
@@ -569,13 +592,13 @@ let elaborate ast =
         | None -> g.Roadmap.density_bits
       in
       let banks =
-        Option.value ~default:g.Roadmap.banks (opt_int banks_stmt "number")
+        Option.value ~default:g.Roadmap.banks (opt_count banks_stmt "number")
       in
       let prefetch =
-        Option.value ~default:g.Roadmap.prefetch (opt_int burst "prefetch")
+        Option.value ~default:g.Roadmap.prefetch (opt_count burst "prefetch")
       in
       let burst_length =
-        Option.value ~default:g.Roadmap.burst_length (opt_int burst "length")
+        Option.value ~default:g.Roadmap.burst_length (opt_count burst "length")
       in
       let trc = Option.value ~default:g.Roadmap.trc (opt timing "trc" Q.Time) in
       let trcd =
@@ -599,6 +622,12 @@ let elaborate ast =
           (fun acc s ->
             match integer_from lo ctx s key with Some v -> Some v | None -> acc)
           None cell_stmts
+      in
+      let cell_key key =
+        ( List.fold_left
+            (fun acc s -> if Ast.arg s key = None then acc else Some s)
+            None cell_stmts,
+          key )
       in
       let f = Node.feature_size node in
       let page_bits =
@@ -625,17 +654,40 @@ let elaborate ast =
           if g.Roadmap.cell_factor >= 8.0 then Array_geometry.Folded
           else Array_geometry.Open
       in
+      let rows_per_bank =
+        match Config.rows_per_bank ~density_bits ~io_width ~banks ~page_bits with
+        | Ok rows -> rows
+        | Error (`Io_width, msg) ->
+          refuse_first [ (io, "width"); cell_key "page" ] msg
+        | Error (`Density, msg) ->
+          refuse_first
+            [ (density, "mbits"); (banks_stmt, "number"); cell_key "page" ]
+            msg
+      in
+      let bank_bits = density_bits /. float_of_int banks in
+      let bits_per_bitline =
+        Option.value ~default:g.Roadmap.bits_per_bitline
+          (cell_int 0 "BitsPerBL")
+      in
+      let bits_per_lwl =
+        Option.value ~default:g.Roadmap.bits_per_lwl (cell_int 1 "BitsPerLWL")
+      in
+      (match
+         Array_geometry.subarrays ~bank_bits ~page_bits ~bits_per_bitline
+           ~bits_per_lwl
+       with
+       | Ok _ -> ()
+       | Error (`Page, msg) ->
+         refuse_first [ cell_key "page"; cell_key "BitsPerLWL" ] msg
+       | Error (`Bank, msg) ->
+         refuse_first
+           [ (banks_stmt, "number"); (density, "mbits"); cell_key "BitsPerBL";
+             cell_key "page" ]
+           msg);
       let geometry =
         Array_geometry.derive ~style
           ~csl_blocks:(Option.value ~default:1 (cell_int 0 "CSLblocks"))
-          ~bank_bits:(density_bits /. float_of_int banks)
-          ~page_bits
-          ~bits_per_bitline:
-            (Option.value ~default:g.Roadmap.bits_per_bitline
-               (cell_int 0 "BitsPerBL"))
-          ~bits_per_lwl:
-            (Option.value ~default:g.Roadmap.bits_per_lwl
-               (cell_int 1 "BitsPerLWL"))
+          ~bank_bits ~page_bits ~bits_per_bitline ~bits_per_lwl
           ~wl_pitch:
             (Option.value
                ~default:(g.Roadmap.cell_factor /. 2.0 *. f)
@@ -678,31 +730,21 @@ let elaborate ast =
         let rec go acc v = if v <= 1 then acc else go (acc + 1) (v / 2) in
         go 0 n
       in
-      (* The fallbacks only let elaboration go on. *)
-      let rows_per_bank, io_width =
-        match Config.rows_per_bank ~density_bits ~io_width ~banks ~page_bits with
-        | Ok rows -> (rows, io_width)
-        | Error (input, msg) ->
-          (match input with
-           | `Io_width -> refuse io "width" "%s" msg
-           | `Density -> refuse density "mbits" "%s" msg);
-          (2.0, max 1 (page_bits / 2))
-      in
       let spec =
         Spec.v
-          ?clock_wires:(opt_wires clock "number")
-          ?misc_control:(opt_wires control "misc")
+          ?clock_wires:(opt_count clock "number")
+          ?misc_control:(opt_count control "misc")
           ~io_width ~datarate ~control_clock
           ~bank_bits:
             (Option.value ~default:(log2i banks) (opt_int control "bankadd"))
           ~row_bits:
             (Option.value
                ~default:(log2i (int_of_float rows_per_bank))
-               (opt_wires control "rowadd"))
+               (opt_count control "rowadd"))
           ~col_bits:
             (Option.value
                ~default:(log2i (page_bits / io_width))
-               (opt_wires control "coladd"))
+               (opt_count control "coladd"))
           ~prefetch ~burst_length ~banks ~density_bits ~trc ~trcd ~trp ()
       in
       (* Technology and voltages. *)
@@ -811,7 +853,9 @@ let elaborate ast =
           end
       in
       Some { config; pattern }
-    with Invalid_argument msg ->
+    with
+    | Refused -> None
+    | Invalid_argument msg ->
       err ctx ~code:"V0200" ~span:Span.none 0 "%s" msg;
       None
   in

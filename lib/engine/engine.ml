@@ -235,7 +235,7 @@ let flush_store t =
    perturbation copies every sub-record but the one it replaced, so it
    marshals only that one.  A configuration seen again marshals
    nothing: serve's [Render.power] evaluates one configuration against
-   six patterns and then the request's own, and a mix miss looks the
+   five patterns and then the request's own, and a mix miss looks the
    same configuration up again for extraction. *)
 type cfg_memo = { last : Config.t; fields : Fp.t array; key : Fp.t }
 

@@ -175,8 +175,8 @@ let map t engine ?check f xs =
   in
   let nfail = Atomic.make 0 in
   let stop = Atomic.make false in
-  (* Each item's slot is computed inside Pool.map, whose workers mark
-     their domains so nested parallelism degrades to serial.  Once the
+  (* Each item's slot is computed inside Pool.map, whose work loop
+     marks its domains so nested parallelism degrades to serial.  Once the
      budget is spent the remaining items come back Skipped without [f]
      being called. *)
   let run_one i =

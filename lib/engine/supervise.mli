@@ -31,10 +31,13 @@
     With no faults, no failures and no deadline hits, the [Done]
     payloads are bit-identical to the unsupervised engine at any job
     count — supervision never perturbs a healthy run.  Because items
-    run on {!Pool.map}'s workers, nested parallelism degrades to
-    serial exactly as it does there, and a worker domain that cannot
-    be spawned degrades the batch to fewer workers ({!Pool.degraded},
-    reported in {!counters}) instead of failing it. *)
+    run inside {!Pool.map}'s work loop, nested parallelism degrades to
+    serial exactly as it does there; the batch's helpers come from the
+    pool's one set of parked domains, so a batch started inside a
+    {!Pool.run} job (a served request) borrows that set's idle
+    domains; and a domain that cannot be spawned degrades the batch to
+    fewer workers ({!Pool.degraded}, reported in {!counters}) instead
+    of failing it. *)
 
 type policy = {
   keep_going : bool;
@@ -147,7 +150,7 @@ type counters = {
   deadline : int;  (** of which deadline overruns *)
   rejected : int;  (** of which check rejections *)
   degraded : int;
-      (** worker domains that failed to spawn, process-wide
+      (** pooled domains that failed to spawn, process-wide
           ({!Pool.degraded}) *)
   by_stage : (string * int) list;
       (** failure count per class — ["geometry"], ["extraction"],

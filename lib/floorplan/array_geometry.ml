@@ -15,17 +15,24 @@ type t = {
   csl_blocks : int;
 }
 
+let subarrays ~bank_bits ~page_bits ~bits_per_bitline ~bits_per_lwl =
+  if page_bits mod bits_per_lwl <> 0 then
+    Error (`Page, "page not a multiple of local WL")
+  else
+    let bits_per_subarray_row = float_of_int (page_bits * bits_per_bitline) in
+    let rows = bank_bits /. bits_per_subarray_row in
+    if Float.rem rows 1.0 <> 0.0 || rows < 1.0 then
+      Error (`Bank, "bank not a whole number of sub-array rows")
+    else Ok (page_bits / bits_per_lwl, int_of_float rows)
+
 let derive ?(style = Open) ?(csl_blocks = 1) ~bank_bits ~page_bits
     ~bits_per_bitline ~bits_per_lwl ~wl_pitch ~bl_pitch ~sa_stripe
     ~lwd_stripe () =
-  if page_bits mod bits_per_lwl <> 0 then
-    invalid_arg "Array_geometry.derive: page not a multiple of local WL";
-  let along_wl = page_bits / bits_per_lwl in
-  let bits_per_subarray_row = float_of_int (page_bits * bits_per_bitline) in
-  let rows = bank_bits /. bits_per_subarray_row in
-  if Float.rem rows 1.0 <> 0.0 || rows < 1.0 then
-    invalid_arg "Array_geometry.derive: bank not a whole number of \
-                 sub-array rows";
+  let along_wl, along_bl =
+    match subarrays ~bank_bits ~page_bits ~bits_per_bitline ~bits_per_lwl with
+    | Ok grid -> grid
+    | Error (_, msg) -> invalid_arg ("Array_geometry.derive: " ^ msg)
+  in
   {
     style;
     bits_per_bitline;
@@ -35,7 +42,7 @@ let derive ?(style = Open) ?(csl_blocks = 1) ~bank_bits ~page_bits
     sa_stripe;
     lwd_stripe;
     subarrays_along_wl = along_wl;
-    subarrays_along_bl = int_of_float rows;
+    subarrays_along_bl = along_bl;
     csl_blocks;
   }
 

@@ -21,6 +21,18 @@ type t = {
   csl_blocks : int;          (** array blocks sharing a column select line *)
 }
 
+val subarrays :
+  bank_bits:float ->
+  page_bits:int ->
+  bits_per_bitline:int ->
+  bits_per_lwl:int ->
+  (int * int, [ `Page | `Bank ] * string) result
+(** The sub-array grid of one bank, [(along_wl, along_bl)], or the
+    division that does not work out: [`Page] when the page is not a
+    whole number of local wordlines, [`Bank] when the bank is not a
+    whole number of at least one sub-array row.  [bits_per_lwl] must be
+    positive. *)
+
 val derive :
   ?style:bitline_style ->
   ?csl_blocks:int ->
@@ -37,7 +49,8 @@ val derive :
 (** Derive the sub-array grid of one bank: the page spans the block in
     the wordline direction ([page_bits / bits_per_lwl] sub-arrays) and
     the rest of the bank capacity stacks in the bitline direction.
-    Raises [Invalid_argument] when the divisions don't work out. *)
+    Raises [Invalid_argument] with {!subarrays}' message when the
+    divisions don't work out. *)
 
 (* Derived extents, all metres. *)
 

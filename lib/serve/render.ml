@@ -53,3 +53,13 @@ let to_string pp v =
   pp ppf v;
   Format.pp_print_flush ppf ();
   Buffer.contents buf
+
+let power_text ~eval config p =
+  let reports = ref [] in
+  let eval config pat =
+    let r = eval config pat in
+    reports := r :: !reports;
+    r
+  in
+  let text = to_string (fun ppf () -> power ~eval ppf config p) () in
+  (text, List.rev !reports)

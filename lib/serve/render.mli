@@ -19,6 +19,17 @@ val power :
     the requested pattern.  [eval] is [Model.pattern_power] in the CLI
     and [Engine.eval engine] in the daemon. *)
 
+val power_text :
+  eval:
+    (Vdram_core.Config.t -> Vdram_core.Pattern.t -> Vdram_core.Report.t) ->
+  Vdram_core.Config.t ->
+  Vdram_core.Pattern.t ->
+  string * Vdram_core.Report.t list
+(** {!power} rendered by {!to_string}, with every report it printed, in
+    print order: the five table rows, then the requested pattern.  The
+    CLI and the daemon refuse the text when one of them is not finite
+    ({!Vdram_engine.Supervise.finite_report}). *)
+
 val sensitivity :
   top:int -> Format.formatter -> Vdram_analysis.Sensitivity.t -> unit
 (** The [vdram sensitivity] ranking, truncated to [top] entries. *)

@@ -3,15 +3,17 @@
    that reads and decodes frames, answers ping and stats, admits,
    waits as a coalescing follower and writes every frame, one request
    at a time.  Those threads share the domain's runtime lock, so
-   [compute] (resolve, elaborate, evaluate, render) runs on a lane
-   ({!Lanes}) while its connection thread blocks and writes the parts
-   the lane posts; a batch map on a lane takes the engine's pool
-   helpers when they are free.  No lane ever writes to a socket, so a
-   client that stops reading cannot hold up another connection's
+   [compute] (resolve, elaborate, evaluate, render) runs on a pooled
+   domain ({!Pool.run}) while its connection thread blocks and writes
+   the parts the computation posts; a batch map there borrows the
+   pool's idle domains, and no more than the engine's [jobs] pooled
+   domains compute at once.  A pooled domain never writes to a socket,
+   so a client that stops reading cannot hold up another connection's
    computation. *)
 
 module Json = Vdram_json.Json
 module Engine = Vdram_engine.Engine
+module Pool = Vdram_engine.Pool
 module Store = Vdram_engine.Store
 module Supervise = Vdram_engine.Supervise
 module Faults = Vdram_engine.Faults
@@ -227,20 +229,17 @@ let compute t (req : Protocol.request) ~on_part =
           let sup = supervisor_for t req.Protocol.deadline in
           let outcomes =
             Supervise.map sup t.engine
-              ~check:(fun ((_ : string), r) -> Supervise.finite_report r)
+              ~check:(fun ((_ : string), reports) ->
+                List.find_map Supervise.finite_report reports)
               (fun () ->
-                let text =
-                  Render.to_string
-                    (fun ppf () ->
-                      Render.power ~eval:(Engine.eval t.engine) ppf config p)
-                    ()
-                in
-                (text, Engine.eval t.engine config p))
+                Render.power_text ~eval:(Engine.eval t.engine) config p)
               [ () ]
           in
           let failures = merge_failures t sup in
           match outcomes with
-          | [ Supervise.Done (text, r) ] ->
+          | [ Supervise.Done (text, reports) ] ->
+            (* The last report is the requested pattern's. *)
+            let r = List.hd (List.rev reports) in
             ok_outcome ~op:"eval" ~failures
               ~data:
                 (Json.Obj
@@ -428,7 +427,7 @@ let stats_json t =
             ("injected", jint (Atomic.get t.c_injected));
             ( "by_class",
               Json.Obj (List.map (fun (k, n) -> (k, jint n)) by_class) );
-            ("degraded", jint (Vdram_engine.Pool.degraded ()));
+            ("degraded", jint (Pool.degraded ()));
           ] );
       ("draining", Json.Bool (Atomic.get t.draining));
       ("uptime_s", Json.Num (Unix.gettimeofday () -. t.started));
@@ -478,15 +477,15 @@ let handle_request t conn (req : Protocol.request) =
             unregister t p;
             ignore (Atomic.fetch_and_add t.inflight (-1) : int))
           (fun () ->
-            let on_lane () =
-              Lanes.run ~lanes:(Engine.jobs t.engine) ~on_post:(stream_part p)
+            let on_pool () =
+              Pool.run ~jobs:(Engine.jobs t.engine) ~on_post:(stream_part p)
                 (fun post -> compute t req ~on_part:post)
             in
             let coalesced, outcome =
               match Protocol.work_key req with
-              | None -> (false, on_lane ())
+              | None -> (false, on_pool ())
               | Some key ->
-                (match Coalesce.run t.coalesce ~key on_lane with
+                (match Coalesce.run t.coalesce ~key on_pool with
                  | `Led o -> (false, o)
                  | `Shared o -> (true, o)
                  | exception e ->
@@ -691,6 +690,31 @@ let draining t = Atomic.get t.draining
 let address t = Unix.getsockname t.lsock
 let coalesce_counters t = Coalesce.counters t.coalesce
 
+(* How long a drain waits on a survivor's socket write. *)
+let write_bound = 0.25
+
+(* A survivor's connection thread may be blocked for good writing to a
+   client that stopped reading, holding [wmu].  So every write to its
+   socket from here on is bounded, and a socket whose [wmu] is still
+   held at [deadline] is shut down: the blocked write fails, marks the
+   connection dead and frees the lock for the drain's terminal. *)
+let unstick ~deadline conn =
+  if conn.alive then begin
+    (try Unix.setsockopt_float conn.fd Unix.SO_SNDTIMEO write_bound
+     with Unix.Unix_error _ -> ());
+    let rec wait () =
+      if Mutex.try_lock conn.wmu then Mutex.unlock conn.wmu
+      else if Unix.gettimeofday () < deadline then begin
+        Thread.delay 0.01;
+        wait ()
+      end
+      else
+        try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL
+        with Unix.Unix_error _ -> ()
+    in
+    wait ()
+  end
+
 let drain_finish t =
   let deadline = Unix.gettimeofday () +. t.cfg.drain_grace in
   while Atomic.get t.inflight > 0 && Unix.gettimeofday () < deadline do
@@ -701,6 +725,8 @@ let drain_finish t =
   Mutex.lock t.mu;
   let leftovers = Hashtbl.fold (fun _ p acc -> p :: acc) t.registry [] in
   Mutex.unlock t.mu;
+  let deadline = Unix.gettimeofday () +. write_bound in
+  List.iter (fun p -> unstick ~deadline p.p_conn) leftovers;
   List.iter
     (fun p ->
       if

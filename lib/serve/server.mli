@@ -27,11 +27,12 @@
     Responses are written by the connection's own thread (during
     drain possibly by the drain thread) under a per-connection write
     mutex.  Connection threads share the main domain's runtime lock,
-    so each computation runs on a {!Lanes} domain, of which there are
-    at most the engine's [jobs]; a computation that finds them all
-    busy runs on its connection thread.  A lane posts a sweep's parts
-    to its connection thread and never writes to a socket.  A batch
-    map on a lane takes the engine's pool helpers when they are free. *)
+    so each computation runs on a domain of {!Vdram_engine.Pool}'s one
+    parked set ({!Vdram_engine.Pool.run}), and its batch maps borrow
+    that set's idle domains; at most the engine's [jobs] pooled
+    domains are busy at once, and a computation that finds them all
+    busy runs on its connection thread.  A computation posts a sweep's
+    parts to its connection thread and never writes to a socket. *)
 
 type listener =
   | Unix_path of string  (** Unix-domain stream socket at this path *)
@@ -71,7 +72,10 @@ val serve : t -> unit
 (** Accept and serve until {!drain}, then finish: stop accepting,
     wait up to [drain_grace] for in-flight requests, force an
     [aborted] terminal frame on any survivor, flush the engine's
-    store, close and (for Unix sockets) unlink the listener.  Returns
+    store, close and (for Unix sockets) unlink the listener.  A
+    survivor whose connection thread stays blocked writing to a client
+    that stopped reading has its socket shut down instead, so the
+    drain ends within about [drain_grace] plus 1.5 s.  Returns
     normally — the caller decides the exit code. *)
 
 val drain : t -> unit

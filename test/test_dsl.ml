@@ -326,22 +326,31 @@ let test_integer_keys_never_raise () =
             (load ("Set bitspercsl=" ^ v)
                (Printf.sprintf "%s\nTechnology\nSet bitspercsl=%s\n" source v)))
         values;
-      (* The two divisors, the bus widths and the counts that size a bus
-         are coded diagnostics at their key. *)
+      (* The two divisors, the bus widths, the counts that size a bus or
+         that the specification divides by, and the bank geometry are
+         coded diagnostics at their key. *)
       List.iter
         (fun (what, src) ->
           match load what src with
-          | Error e -> Alcotest.(check string) (name ^ " " ^ what) "V0204" e.Parser.code
+          | Error e ->
+            Alcotest.(check string) (name ^ " " ^ what) "V0204" e.Parser.code;
+            Helpers.check_true (name ^ " " ^ what ^ " is spanned")
+              (e.Parser.line > 0)
           | Ok _ -> Alcotest.failf "%s with %s elaborated" name what)
-        ([ ("CellArray BitsPerLWL=0",
-            source ^ "\nFloorplanPhysical\nCellArray BitsPerLWL=0\n");
-           ("Set bitspercsl=0", source ^ "\nTechnology\nSet bitspercsl=0\n");
-           ("Set bitspercsl=0.5", source ^ "\nTechnology\nSet bitspercsl=0.5\n") ]
+        (List.map
+           (fun stmt ->
+             (stmt, source ^ "\nFloorplanPhysical\n" ^ stmt ^ "\n"))
+           [ "CellArray BitsPerLWL=0"; "CellArray page=8" ]
+        @ [ ("Set bitspercsl=0", source ^ "\nTechnology\nSet bitspercsl=0\n");
+            ("Set bitspercsl=0.5", source ^ "\nTechnology\nSet bitspercsl=0.5\n");
+            ("Block gates=-1", source ^ "\nLogicBlocks\nBlock name=x gates=-1\n") ]
         @ List.map
             (fun stmt -> (stmt, "Specification\n" ^ stmt ^ "\n" ^ source))
             [ "IO width=0"; "Clock number=0"; "Control misc=0";
               "Control rowadd=0"; "Control coladd=0"; "IO width=1e18";
-              "IO width=16384"; "Density mbits=1e300" ]))
+              "IO width=16384"; "Density mbits=1e300"; "Banks number=0";
+              "Banks number=3"; "Banks number=65536"; "Density mbits=0.0001";
+              "Density mbits=0.01"; "Burst length=0"; "Burst prefetch=0" ]))
     examples
 
 let dsl_fuzz_no_crash =

@@ -153,6 +153,153 @@ let vdram_jobs_env () =
         (Domain.recommended_domain_count ())
         (Pool.default_jobs ()))
 
+(* ----- pool: whole jobs ----------------------------------------------- *)
+
+(* Each job waits until both have started, so they can only finish if
+   they run at once, on two domains; the timeout turns a hang into a
+   failure. *)
+let run_at_once () =
+  let caller = (Domain.self () :> int) in
+  let started = Atomic.make 0 in
+  let job _post =
+    Atomic.incr started;
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.001
+    done;
+    (Atomic.get started, (Domain.self () :> int))
+  in
+  let results = Array.make 2 (0, caller) in
+  let threads =
+    List.init 2 (fun i ->
+        Thread.create
+          (fun () -> results.(i) <- Pool.run ~jobs:2 ~on_post:ignore job)
+          ())
+  in
+  List.iter Thread.join threads;
+  Array.iter
+    (fun (seen, domain) ->
+      Alcotest.(check int) "both jobs started before either finished" 2 seen;
+      Helpers.check_true "a job runs off the caller's domain"
+        (domain <> caller))
+    results;
+  Helpers.check_true "the jobs ran on two domains"
+    (snd results.(0) <> snd results.(1))
+
+(* With [jobs] pooled domains busy a job runs on its caller at once.
+   Three jobs that each wait until all three have started can only
+   finish if the third does not queue behind the two busy domains, so
+   exactly one runs on the caller's domain. *)
+let run_never_queues () =
+  let caller = (Domain.self () :> int) in
+  let started = Atomic.make 0 in
+  let job _post =
+    Atomic.incr started;
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while Atomic.get started < 3 && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.001
+    done;
+    (Atomic.get started, (Domain.self () :> int))
+  in
+  let results = Array.make 3 (0, caller) in
+  let threads =
+    List.init 3 (fun i ->
+        Thread.create
+          (fun () -> results.(i) <- Pool.run ~jobs:2 ~on_post:ignore job)
+          ())
+  in
+  List.iter Thread.join threads;
+  Array.iter
+    (fun (seen, _) ->
+      Alcotest.(check int) "all three started before any finished" 3 seen)
+    results;
+  Alcotest.(check int) "two on pooled domains, one on its caller" 1
+    (Array.fold_left
+       (fun n (_, domain) -> if domain = caller then n + 1 else n)
+       0 results)
+
+(* A job's messages are handled by the thread that submitted it, in
+   order, so a handler that blocks (a socket write) never holds the
+   pooled domain. *)
+let run_posts_on_caller () =
+  let caller = (Domain.self () :> int) in
+  let thread = Thread.id (Thread.self ()) in
+  let seen = ref [] in
+  let on_post m =
+    seen := (m, Thread.id (Thread.self ()), (Domain.self () :> int)) :: !seen
+  in
+  let domain =
+    Pool.run ~jobs:1 ~on_post (fun post ->
+        List.iter post [ 1; 2; 3 ];
+        (Domain.self () :> int))
+  in
+  Helpers.check_true "the job ran on a pooled domain" (domain <> caller);
+  Alcotest.(check (list int)) "messages in order" [ 1; 2; 3 ]
+    (List.rev_map (fun (m, _, _) -> m) !seen);
+  List.iter
+    (fun (_, th, d) ->
+      Helpers.check_true "handled on the submitting thread"
+        (th = thread && d = caller))
+    !seen
+
+let run_reraises () =
+  (match Pool.run ~jobs:1 ~on_post:ignore (fun _ -> failwith "job boom") with
+   | () -> Alcotest.fail "the job's exception was lost"
+   | exception Failure m ->
+     Alcotest.(check string) "re-raised in the submitting thread" "job boom" m);
+  Alcotest.(check int) "the domain runs the next job" 7
+    (Pool.run ~jobs:1 ~on_post:ignore (fun _ -> 7))
+
+(* Two overlapping jobs at jobs:2, each mapping two single-item chunks
+   at jobs:2.  An item waits (up to 0.5 s) until all four have started,
+   so the maps overlap and every domain that can take an item does.
+   The jobs hold both domains the cap allows, so the maps find no third
+   to help: everything computes on at most two domains besides main. *)
+let run_maps_within_jobs () =
+  let started = Atomic.make 0 and items = Atomic.make 0 in
+  let wait_for counter n patience =
+    let deadline = Unix.gettimeofday () +. patience in
+    while Atomic.get counter < n && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.001
+    done
+  in
+  let item _ =
+    Atomic.incr items;
+    wait_for items 4 0.5;
+    Domain.self ()
+  in
+  let job _post =
+    Atomic.incr started;
+    wait_for started 2 5.0;
+    Pool.map ~chunk:1 ~jobs:2 item [ 0; 1 ]
+  in
+  let results = Array.make 2 [] in
+  let threads =
+    List.init 2 (fun i ->
+        Thread.create
+          (fun () -> results.(i) <- Pool.run ~jobs:2 ~on_post:ignore job)
+          ())
+  in
+  List.iter Thread.join threads;
+  let domains =
+    List.sort_uniq compare (List.concat (Array.to_list results))
+  in
+  Helpers.check_true "no item ran on the main domain"
+    (not (List.mem (Domain.self ()) domains));
+  Helpers.check_true
+    (Printf.sprintf "%d domains besides main, at most 2" (List.length domains))
+    (List.length domains <= 2)
+
+(* A lone job's map borrows an idle domain of the same set. *)
+let run_map_borrows () =
+  let self, items =
+    Pool.run ~jobs:2 ~on_post:ignore (fun _ ->
+        (Domain.self (), rendezvous_map ()))
+  in
+  Helpers.check_true "the job ran off the main domain" (self <> Domain.self ());
+  Helpers.check_true "the job's map reached a second domain"
+    (List.exists (fun d -> d <> self) items)
+
 (* ----- engine vs model ----------------------------------------------- *)
 
 let eval_matches_model () =
@@ -1126,6 +1273,18 @@ let suite =
       pool_chunked_exception_order;
     Alcotest.test_case "adaptive chunk size" `Quick pool_default_chunk;
     Alcotest.test_case "VDRAM_JOBS clamping" `Quick vdram_jobs_env;
+    Alcotest.test_case "pool run: two jobs at once, off caller" `Quick
+      run_at_once;
+    Alcotest.test_case "pool run: a job never queues behind busy domains"
+      `Quick run_never_queues;
+    Alcotest.test_case "pool run: messages are handled on the caller" `Quick
+      run_posts_on_caller;
+    Alcotest.test_case "pool run: a job's exception re-raises" `Quick
+      run_reraises;
+    Alcotest.test_case "pool run: overlapping jobs' maps stay within jobs"
+      `Quick run_maps_within_jobs;
+    Alcotest.test_case "pool run: a lone job's map borrows a domain" `Quick
+      run_map_borrows;
     Alcotest.test_case "eval matches Model.pattern_power" `Quick
       eval_matches_model;
     Alcotest.test_case "renamed twin hits the mix cache" `Quick

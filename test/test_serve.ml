@@ -1,6 +1,5 @@
-(* The serve daemon: JSON framing, protocol decoding, coalescing, the
-   lanes and the socket-level server (fault isolation, admission,
-   drain).
+(* The serve daemon: JSON framing, protocol decoding, coalescing and
+   the socket-level server (fault isolation, admission, drain).
 
    Every server here gets an explicit fault plan ([Faults.none] unless
    the test injects), so a chaos [VDRAM_FAULTS] environment cannot
@@ -11,7 +10,6 @@ module Json = Vdram_json.Json
 module Protocol = Vdram_serve.Protocol
 module Render = Vdram_serve.Render
 module Coalesce = Vdram_serve.Coalesce
-module Lanes = Vdram_serve.Lanes
 module Server = Vdram_serve.Server
 module Engine = Vdram_engine.Engine
 module Faults = Vdram_engine.Faults
@@ -382,103 +380,6 @@ let coalesce_error_propagation () =
     (fun o -> Alcotest.(check string) "both callers re-raise" "raised boom" o)
     outcomes
 
-(* ----- lanes ----------------------------------------------------------- *)
-
-(* Each job waits until both have started, so they can only finish if
-   they run at once, on two lanes; the timeout turns a hang into a
-   failure. *)
-let lanes_run_at_once () =
-  let caller = (Domain.self () :> int) in
-  let started = Atomic.make 0 in
-  let job _post =
-    Atomic.incr started;
-    let deadline = Unix.gettimeofday () +. 5.0 in
-    while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
-      Unix.sleepf 0.001
-    done;
-    (Atomic.get started, (Domain.self () :> int))
-  in
-  let results = Array.make 2 (0, caller) in
-  let threads =
-    List.init 2 (fun i ->
-        Thread.create
-          (fun () -> results.(i) <- Lanes.run ~lanes:2 ~on_post:ignore job)
-          ())
-  in
-  List.iter Thread.join threads;
-  Array.iter
-    (fun (seen, domain) ->
-      Alcotest.(check int) "both jobs started before either finished" 2 seen;
-      check_true "a job runs off the caller's domain" (domain <> caller))
-    results;
-  check_true "the jobs ran on two domains"
-    (snd results.(0) <> snd results.(1))
-
-(* With every lane busy a job runs on its caller at once.  Three jobs
-   that each wait until all three have started can only finish if the
-   third does not queue behind the two lanes.  No test uses more than
-   two lanes, so exactly one runs on the caller's domain. *)
-let lanes_never_queue () =
-  let caller = (Domain.self () :> int) in
-  let started = Atomic.make 0 in
-  let job _post =
-    Atomic.incr started;
-    let deadline = Unix.gettimeofday () +. 5.0 in
-    while Atomic.get started < 3 && Unix.gettimeofday () < deadline do
-      Unix.sleepf 0.001
-    done;
-    (Atomic.get started, (Domain.self () :> int))
-  in
-  let results = Array.make 3 (0, caller) in
-  let threads =
-    List.init 3 (fun i ->
-        Thread.create
-          (fun () -> results.(i) <- Lanes.run ~lanes:2 ~on_post:ignore job)
-          ())
-  in
-  List.iter Thread.join threads;
-  Array.iter
-    (fun (seen, _) ->
-      Alcotest.(check int) "all three started before any finished" 3 seen)
-    results;
-  Alcotest.(check int) "two on lanes, one on its caller" 1
-    (Array.fold_left
-       (fun n (_, domain) -> if domain = caller then n + 1 else n)
-       0 results)
-
-(* A job's messages are handled by the thread that submitted it, in
-   order, so a handler that blocks (a socket write) never holds the
-   lane. *)
-let lanes_post_on_caller () =
-  let caller = (Domain.self () :> int) in
-  let thread = Thread.id (Thread.self ()) in
-  let seen = ref [] in
-  let on_post m =
-    seen := (m, Thread.id (Thread.self ()), (Domain.self () :> int)) :: !seen
-  in
-  let domain =
-    Lanes.run ~lanes:1 ~on_post (fun post ->
-        List.iter post [ 1; 2; 3 ];
-        (Domain.self () :> int))
-  in
-  check_true "the job ran on a lane" (domain <> caller);
-  Alcotest.(check (list int)) "messages in order" [ 1; 2; 3 ]
-    (List.rev_map (fun (m, _, _) -> m) !seen);
-  List.iter
-    (fun (_, th, d) ->
-      check_true "handled on the submitting thread" (th = thread && d = caller))
-    !seen
-
-let lanes_reraise () =
-  (match
-     Lanes.run ~lanes:1 ~on_post:ignore (fun _ -> failwith "lane boom")
-   with
-   | () -> Alcotest.fail "the job's exception was lost"
-   | exception Failure m ->
-     Alcotest.(check string) "re-raised in the submitting thread" "lane boom" m);
-  Alcotest.(check int) "the lane runs the next job" 7
-    (Lanes.run ~lanes:1 ~on_post:ignore (fun _ -> 7))
-
 (* ----- socket-level server --------------------------------------------- *)
 
 let sock_counter = ref 0
@@ -705,6 +606,22 @@ let server_bad_frames () =
       let ok = one (recv_frames fd 1) in
       Alcotest.(check string) "connection survives hostile frames" "ok"
         (jstr ok "status");
+      Unix.close fd)
+
+(* A report that is not finite fails validation in whichever row it
+   is: the requested loop has no column access and stays finite, while
+   the Idd4R row of the same answer does not. *)
+let server_non_finite () =
+  with_server (fun _server path ->
+      let fd = connect path in
+      send_line fd
+        ({|{"id":"hot","op":"eval","pattern":"act nop pre nop",|}
+        ^ {|"config":{"source":"Device\nPart name=hot node=65nm\nVoltages\nSupply vdd=1e300V\n"}}|});
+      let f = one (recv_frames fd 1) in
+      Alcotest.(check string) "refused" "error" (jstr f "status");
+      Alcotest.(check string) "classified validate" "validate" (jstr f "class");
+      Alcotest.(check string) "the batch commands' message"
+        "non-finite value in report hot | Idd4R" (jstr f "message");
       Unix.close fd)
 
 let server_split_frames () =
@@ -948,21 +865,25 @@ let server_sweep_streams () =
         (jstr (one (recv_frames fd 1)) "status");
       Unix.close fd)
 
-(* One lane, and a client that sends a large sweep and never reads:
-   its part frames fill the socket buffers, so whoever writes them
-   blocks.  An eval on a second connection must still finish. *)
+(* A sweep of 4800 factors: its part frames fill the socket buffers of
+   a client that does not read them, so whoever writes them blocks. *)
+let send_big_sweep fd =
+  let factors =
+    String.concat ","
+      (List.init 4800 (fun i ->
+           Printf.sprintf "%.6f" (0.9 +. (0.2 *. float_of_int i /. 4800.0))))
+  in
+  send_line fd
+    (Printf.sprintf
+       {|{"id":"big","op":"sweep","lens":"external voltage Vdd","factors":[%s]}|}
+       factors)
+
+(* One computing domain, and a client that sends a large sweep and
+   never reads.  An eval on a second connection must still finish. *)
 let server_stuck_reader () =
   with_server (fun _server path ->
       let stuck = connect path in
-      let factors =
-        String.concat ","
-          (List.init 4800 (fun i ->
-               Printf.sprintf "%.6f" (0.9 +. (0.2 *. float_of_int i /. 4800.0))))
-      in
-      send_line stuck
-        (Printf.sprintf
-           {|{"id":"big","op":"sweep","lens":"external voltage Vdd","factors":[%s]}|}
-           factors);
+      send_big_sweep stuck;
       Fun.protect
         ~finally:(fun () -> Unix.close stuck)
         (fun () ->
@@ -974,6 +895,31 @@ let server_stuck_reader () =
              Alcotest.(check string) "the eval finishes" "ok" (jstr f "status")
            | _ -> Alcotest.fail "the eval waited for the stuck client");
           Unix.close fd))
+
+(* The stuck client's connection thread blocks writing a part while it
+   holds the connection's write lock, which the drain needs for the
+   request's aborted terminal.  The drain must still end within its
+   grace plus 2 s; it unlinks the socket last. *)
+let server_drain_stuck_reader () =
+  let grace = 0.5 in
+  with_server ~drain_grace:grace (fun server path ->
+      let stuck = connect path in
+      send_big_sweep stuck;
+      Fun.protect
+        ~finally:(fun () -> Unix.close stuck)
+        (fun () ->
+          Thread.delay 0.5;
+          let t0 = Unix.gettimeofday () in
+          Server.drain server;
+          while
+            Sys.file_exists path && Unix.gettimeofday () -. t0 < grace +. 2.0
+          do
+            Thread.delay 0.02
+          done;
+          check_true
+            (Printf.sprintf "drained within %.1f s (took %.2f s)" (grace +. 2.0)
+               (Unix.gettimeofday () -. t0))
+            (not (Sys.file_exists path))))
 
 let server_drain_aborts ~jobs () =
   (* A request stalling ~1.5 s against a 0.2 s drain grace must be
@@ -1038,17 +984,11 @@ let suite =
       coalesce_single_flight;
     Alcotest.test_case "coalesce: errors propagate to all" `Quick
       coalesce_error_propagation;
-    Alcotest.test_case "lanes: two jobs at once, off caller" `Quick
-      lanes_run_at_once;
-    Alcotest.test_case "lanes: a job never queues behind busy lanes" `Quick
-      lanes_never_queue;
-    Alcotest.test_case "lanes: messages are handled on the caller" `Quick
-      lanes_post_on_caller;
-    Alcotest.test_case "lanes: a job's exception re-raises" `Quick
-      lanes_reraise;
     Alcotest.test_case "server: ping, eval bit-identity, stats" `Quick
       server_basics;
     Alcotest.test_case "server: hostile frames" `Quick server_bad_frames;
+    Alcotest.test_case "server: a non-finite report is refused" `Quick
+      server_non_finite;
     Alcotest.test_case "server: split and pipelined frames" `Quick
       server_split_frames;
     Alcotest.test_case "server: half-closed socket" `Quick server_half_close;
@@ -1069,6 +1009,8 @@ let suite =
       server_sweep_streams;
     Alcotest.test_case "server: a client that stops reading stalls no other"
       `Quick server_stuck_reader;
+    Alcotest.test_case "server: drain ends despite a stuck reader" `Quick
+      server_drain_stuck_reader;
     Alcotest.test_case "server: drain aborts with one terminal" `Quick
       (server_drain_aborts ~jobs:1);
     Alcotest.test_case "server jobs 2: drain aborts" `Quick

@@ -10,8 +10,10 @@
    connection; concurrent identical corners requests coalesce
    (response-flag- and stats-counter-verified) and complete despite
    injected mix faults; the stats failure counters show injected-only
-   failures; SIGTERM drains to exit 0, unlinks the socket and flushes
-   the persistent store.  Exits 1 on the first violated assertion. *)
+   failures; with a client that sent a large sweep and stopped reading,
+   SIGTERM drains to exit 0 within the drain grace plus 5 s, unlinks the
+   socket and flushes the persistent store.  Exits 1 on the first
+   violated assertion. *)
 
 module Json = Vdram_json.Json
 module Faults = Vdram_engine.Faults
@@ -114,6 +116,11 @@ let jbool frame k =
 
 let samples = 400
 
+(* The daemon's --drain-grace, and how much longer its SIGTERM drain
+   may take. *)
+let drain_grace = 1.0
+let drain_slack = 5.0
+
 (* Every serve request runs under a fresh supervisor, so an eval item
    is always (batch 0, index 0): pick a seed whose plan leaves that
    item clean (evals stay deterministic for the bit-identity check)
@@ -183,7 +190,7 @@ let () =
     Unix.create_process_env exe
       [|
         exe; "serve"; "--socket"; sock; "--cache-dir"; store_dir;
-        "--max-inflight"; "16";
+        "--max-inflight"; "16"; "--drain-grace"; string_of_float drain_grace;
       |]
       env Unix.stdin Unix.stdout Unix.stderr
   in
@@ -289,14 +296,42 @@ let () =
     (jint r "coalesced_shared");
   Unix.close fd;
 
+  (* A client that sends a large sweep and never reads: the daemon's
+     write of its parts blocks on the full socket, and the drain must
+     not wait on it. *)
+  let stuck = connect sock in
+  send_line stuck
+    (Json.to_string
+       (Json.Obj
+          [ ("id", Json.Str "stuck"); ("op", Json.Str "sweep");
+            ("lens", Json.Str "external voltage Vdd");
+            ( "factors",
+              Json.List
+                (List.init 4800 (fun i ->
+                     Json.Num (0.9 +. (0.2 *. float_of_int i /. 4800.0)))) ) ]));
+  Unix.sleepf 1.0;
+
   (* SIGTERM: graceful drain, exit 0, socket unlinked, store flushed. *)
   Unix.kill pid Sys.sigterm;
-  (match Unix.waitpid [] pid with
+  let deadline = Unix.gettimeofday () +. drain_grace +. drain_slack in
+  let rec reap () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+      Unix.sleepf 0.05;
+      reap ()
+    | 0, _ ->
+      fail "daemon still running %.0f s after SIGTERM (drain grace %.0f s) \
+            with a client that stopped reading"
+        (drain_grace +. drain_slack) drain_grace
+    | status -> status
+  in
+  (match reap () with
   | _, Unix.WEXITED 0 -> ()
   | _, Unix.WEXITED c -> fail "daemon exited %d after SIGTERM" c
   | _, Unix.WSIGNALED s -> fail "daemon killed by signal %d" s
   | _, Unix.WSTOPPED _ -> fail "daemon stopped");
   daemon_pid := None;
+  Unix.close stuck;
   if Sys.file_exists sock then fail "socket not unlinked after drain";
   let snapshots =
     match Sys.readdir store_dir with
@@ -306,6 +341,7 @@ let () =
     | exception Sys_error _ -> []
   in
   if snapshots = [] then fail "drain did not flush the persistent store";
-  pass "SIGTERM: clean drain, exit 0, store flushed (%s)"
+  pass "SIGTERM beside a client that stopped reading: clean drain, exit 0, \
+        store flushed (%s)"
     (String.concat ", " snapshots);
   pass "all checks passed"
