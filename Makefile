@@ -1,4 +1,4 @@
-.PHONY: all build test check check-model lint advise bench chaos serve-smoke examples clean doc export
+.PHONY: all build test check check-model lint advise bench chaos fuzz serve-smoke examples clean doc export
 
 all: build
 
@@ -51,6 +51,17 @@ chaos: build
 	[ "$$code" -eq 0 ] || { echo "clean run: expected exit 0, got $$code"; exit 1; }; \
 	grep -q '"failures": \[\]' chaos_clean.json || { echo "clean run: failures recorded"; exit 1; }; \
 	echo "chaos clean run: no failures, exit 0"
+
+# Mutation fuzzing of the shipped descriptions (tools/mutate.ml): one
+# number per draw set to a hostile value, then elaboration, `power` and
+# `lint` in process.  `dune runtest` runs 600 draws at seed 2; this
+# sweeps five more seeds at ten times the draws.  CI runs it.
+fuzz:
+	dune build ./tools/mutate.exe
+	@for seed in 3 5 7 11 13; do \
+	  ./_build/default/tools/mutate.exe --draws 6000 --seed $$seed \
+	    examples/*.dram || exit 1; \
+	done
 
 # Serve daemon end-to-end: boot the real binary under fault
 # injection, drive concurrent mixed traffic (coalescing and

@@ -1,8 +1,9 @@
 (* The number the charge models compute with, for the interval
    compilation.  Devices, the charge models under lib/circuits and the
    per-operation plan in lib/core are written once against a [Num] and
-   compiled twice: for floats in their own libraries, and here (the
-   dune file copies them in) against this module.
+   compiled three times: for floats in their own libraries, here (the
+   dune file copies them in) against this module, and in lib/core
+   against the read-set [Num] of trace_num.ml.
 
    Rules for that shared source, which this compilation enforces:
    - a [Num.t] is built and combined only through [Num]: [+ * /],

@@ -35,12 +35,10 @@ type t = {
 
 let scale lens f cfg = lens.set cfg (lens.get cfg *. f)
 
-(* Which circuit groups a technology parameter can reach, i.e. which
-   per-group extraction sub-keys (Model.group_keys) contain the field.
-   This is the perturbation -> dirty-group table of doc/ENGINE.md; the
-   delta=full and dirty-set tests police it against the actual keys,
-   so a charge model growing a new parameter dependency fails loudly
-   here instead of silently mis-splicing. *)
+(* Which circuit groups a technology parameter can reach on some
+   device.  Delta-extraction traces the read sets off the charge models
+   and never reads this table; a test pins it to the traced sets, so a
+   charge model growing a new parameter dependency fails there. *)
 let technology_dirties =
   let w = C.Wordline and s = C.Sense_amp and c = C.Column in
   let b = C.Bus and l = C.Logic in
@@ -104,10 +102,10 @@ let technology =
 let with_domains f cfg v =
   Config.with_domains cfg (f cfg.Config.domains v)
 
-(* A changed voltage dirties every group whose sub-key holds it; the
-   generator efficiencies and the constant current adder dirty none —
-   efficiencies only rescale the extraction's supply-energy terms
-   (delta recomputes those without re-extracting) and the current
+(* A changed voltage reaches every group whose traced read set holds
+   it; the generator efficiencies and the constant current adder reach
+   none — efficiencies only rescale the extraction's supply-energy
+   terms (delta recomputes those without re-extracting) and the current
    adder is a mix-stage input read straight off the configuration. *)
 let voltage_lens name dirties get set =
   { name; group = Voltage; range = default_range Voltage; dirties; get; set }

@@ -22,12 +22,15 @@ type t = {
   group : group;
   range : float * float;  (** default certified scale-factor range *)
   dirties : Vdram_circuits.Contribution.group list;
-      (** circuit groups whose extraction sub-key the lens can touch:
-          the staged engine's delta-extraction re-extracts exactly
-          these and splices the rest.  Empty for mix-stage-only lenses
-          (generator efficiencies, constant current adder, receiver
-          bias), whose perturbations re-use the whole base
-          extraction. *)
+      (** circuit groups the lens can reach on some device: a test pins
+          it to the union, over the shipped devices and a 55 nm part
+          of each bitline style, of the groups whose traced read set
+          ({!Vdram_core.Read_set.trace}) holds a field the lens moves.
+          Delta-extraction does not read it — it traces each base
+          itself, and dirties fewer groups where a device reads less
+          (an open-bitline sense amp reads no multiplexer).  Empty for
+          mix-stage-only lenses (generator efficiencies, constant
+          current adder, receiver bias). *)
   get : Vdram_core.Config.t -> float;
   set : Vdram_core.Config.t -> float -> Vdram_core.Config.t;
 }

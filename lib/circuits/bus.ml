@@ -1,9 +1,10 @@
 (* Signaling buses: the capacitance of a segment and the energy of a
    bit and of an event.
 
-   Shared source, compiled for floats here and for intervals in
-   lib/absint: Num values only through Num, integers through Stdlib, no
-   branch on a Num.t, every read through [rd] (lib/tech/num.ml). *)
+   Shared source, compiled for floats here, for intervals in lib/absint
+   and for read sets in lib/core: Num values only through Num, integers
+   through Stdlib, no branch on a Num.t, every read through [rd]
+   (lib/tech/num.ml). *)
 
 open Num
 include Bus_types

@@ -1,8 +1,9 @@
 (* Column-path charge model: CSL, data lines, secondary sense-amps.
 
-   Shared source, compiled for floats here and for intervals in
-   lib/absint: Num values only through Num, integers through Stdlib, no
-   branch on a Num.t, every read through [rd] (lib/tech/num.ml). *)
+   Shared source, compiled for floats here, for intervals in lib/absint
+   and for read sets in lib/core: Num values only through Num, integers
+   through Stdlib, no branch on a Num.t, every read through [rd]
+   (lib/tech/num.ml). *)
 
 open Num
 module P = Vdram_tech.Params

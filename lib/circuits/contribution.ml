@@ -1,9 +1,10 @@
 (* Eq. 1: every charge or discharge event costs 1/2 C V^2, and an
    operation's contributions summed at the external supply.
 
-   Shared source, compiled for floats here and for intervals in
-   lib/absint: Num values only through Num, integers through Stdlib, no
-   branch on a Num.t, every read through [Num.rd] (lib/tech/num.ml). *)
+   Shared source, compiled for floats here, for intervals in lib/absint
+   and for read sets in lib/core: Num values only through Num, integers
+   through Stdlib, no branch on a Num.t, every read through [Num.rd]
+   (lib/tech/num.ml). *)
 
 include Contribution_types
 

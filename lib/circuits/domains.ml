@@ -1,9 +1,10 @@
 (* Voltage domains and generator efficiencies: the referral of energy
    drawn in a derived domain to the external supply.
 
-   Shared source, compiled for floats here and for intervals in
-   lib/absint: Num values only through Num, integers through Stdlib, no
-   branch on a Num.t, every read through [Num.rd] (lib/tech/num.ml). *)
+   Shared source, compiled for floats here, for intervals in lib/absint
+   and for read sets in lib/core: Num values only through Num, integers
+   through Stdlib, no branch on a Num.t, every read through [Num.rd]
+   (lib/tech/num.ml). *)
 
 include Domains_types
 

@@ -31,6 +31,21 @@ val v :
     [i_constant] defaults to 3 mA.  Raises [Invalid_argument] on
     non-positive voltages or efficiencies outside (0, 1]. *)
 
+val changed : t -> t -> int
+(** Bit [k] set when the [k]th field differs ([vdd] 0 .. [i_constant]
+    7); a NaN differs from everything. *)
+
+val max_supply : float
+(** 10 V, the highest supply a description may set: well above every
+    DRAM rail (the roadmap's highest is Vpp 3.9 V at 170 nm). *)
+
+val supply_ok : float -> bool
+(** A description's supply is within (0, {!max_supply}]. *)
+
+val efficiency_ok : float -> bool
+(** The efficiency rule {!v}, [Validate] and the description language
+    share: within (0, 1]. *)
+
 val linear_efficiency : vdd:float -> vout:float -> float
 (** Efficiency of a linear regulator: [vout /. vdd], capped at 1.0
     (a directly connected rail is lossless). *)

@@ -20,6 +20,21 @@ type t = {
   i_constant : float;
 }
 
+(* Bit [k] set when the [k]th field differs; a NaN always differs. *)
+let changed a b =
+  let[@inline] ne k (x : float) y = if x = y then 0 else 1 lsl k in
+  ne 0 a.vdd b.vdd lor ne 1 a.vint b.vint lor ne 2 a.vbl b.vbl
+  lor ne 3 a.vpp b.vpp lor ne 4 a.eff_int b.eff_int lor ne 5 a.eff_bl b.eff_bl
+  lor ne 6 a.eff_pp b.eff_pp lor ne 7 a.i_constant b.i_constant
+
+(* The rules on a description's supplies and efficiencies, kept here
+   alone.  The supply ceiling sits well above every DRAM rail and keeps
+   every power the model prints finite and readable.  A NaN breaks
+   both rules. *)
+let max_supply = 10.0
+let supply_ok v = v > 0.0 && v <= max_supply
+let efficiency_ok e = e > 0.0 && e <= 1.0
+
 let linear_efficiency ~vdd ~vout = Float.min 1.0 (vout /. vdd)
 
 let pump_efficiency ~vdd ~vout =
@@ -43,7 +58,7 @@ let v ?eff_int ?eff_bl ?eff_pp ?(i_constant = 5e-3) ~vdd ~vint ~vbl ~vpp () =
     | None -> pump_efficiency ~vdd ~vout:vpp
   in
   let check name e =
-    if e <= 0.0 || e > 1.0 then
+    if not (efficiency_ok e) then
       invalid_arg (Printf.sprintf "Domains.v: %s outside (0, 1]" name)
   in
   check "eff_int" eff_int;

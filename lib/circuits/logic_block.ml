@@ -1,9 +1,10 @@
 (* Peripheral logic blocks: the capacitance of an average gate, the
    block's area and the energy of one evaluation.
 
-   Shared source, compiled for floats here and for intervals in
-   lib/absint: Num values only through Num, integers through Stdlib, no
-   branch on a Num.t, every read through [rd] (lib/tech/num.ml). *)
+   Shared source, compiled for floats here, for intervals in lib/absint
+   and for read sets in lib/core: Num values only through Num, integers
+   through Stdlib, no branch on a Num.t, every read through [rd]
+   (lib/tech/num.ml). *)
 
 open Num
 include Logic_block_types

@@ -31,6 +31,10 @@ val v :
 (** Defaults: widths 0.5 um, 4 transistors per gate, layout density
     0.3, wiring density 0.5, toggle 0.15. *)
 
+val changed : t -> t -> int
+(** Bit [k] set when the [k]th float field differs ([gates] 0 ..
+    [toggle] 6); a NaN differs from everything. *)
+
 val scale_widths : float -> t -> t
 (** Multiply the average device widths (used by technology scaling). *)
 

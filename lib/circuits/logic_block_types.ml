@@ -34,4 +34,13 @@ let v ?(w_nmos = 0.5e-6) ?(w_pmos = 0.5e-6) ?(transistors_per_gate = 4.0)
     toggle;
   }
 
+(* Bit [k] set when the [k]th float field differs; a NaN always
+   differs. *)
+let changed a b =
+  let[@inline] ne k (x : float) y = if x = y then 0 else 1 lsl k in
+  ne 0 a.gates b.gates lor ne 1 a.w_nmos b.w_nmos lor ne 2 a.w_pmos b.w_pmos
+  lor ne 3 a.transistors_per_gate b.transistors_per_gate
+  lor ne 4 a.layout_density b.layout_density
+  lor ne 5 a.wiring_density b.wiring_density lor ne 6 a.toggle b.toggle
+
 let scale_widths f t = { t with w_nmos = t.w_nmos *. f; w_pmos = t.w_pmos *. f }

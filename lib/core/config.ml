@@ -68,7 +68,8 @@ let default_logic_blocks ~node ~(spec : Spec.t) =
     + spec.Spec.misc_control
   in
   let serdes_gates =
-    200.0 *. float_of_int (spec.Spec.io_width * spec.Spec.prefetch)
+    (* In floats: the integer product of two counts near 2^62 wraps. *)
+    200.0 *. float_of_int spec.Spec.io_width *. float_of_int spec.Spec.prefetch
   in
   let dll =
     match standard with

@@ -2,7 +2,6 @@
 
 module C = Vdram_circuits.Contribution
 module Domains = Vdram_circuits.Domains
-module P = Vdram_tech.Params
 
 let receiver_bias_power (cfg : Config.t) =
   let d = cfg.Config.domains in
@@ -102,221 +101,6 @@ let version = "model-2026-08.3"
    This projection is the content identity the engine's extraction and
    pattern-mix caches key on. *)
 let physics_projection (cfg : Config.t) = { cfg with Config.name = "" }
-
-(* ----- per-group sub-keys ------------------------------------------ *)
-
-(* Each circuit group's sub-key is the marshalled tuple of exactly the
-   configuration values its charge model reads: two configurations
-   with equal sub-keys produce bit-identical contribution chunks for
-   that group, so delta-extraction may splice the chunk from a base
-   extraction whenever the sub-keys match.  Correctness is content
-   addressing, not trust — the key IS the group's read set, and the
-   qcheck delta=full property sweeps every lens to police it. *)
-
-let marshal_key v = Marshal.to_string v [ Marshal.No_sharing ]
-
-(* The tuples below are the definition of record for each group's read
-   set; {!group_key} marshals and digests them on demand for tests and
-   diagnostics.  The delta probe itself never builds them — it runs
-   the compiled field-by-field predicates of [dirty_groups], which must
-   mirror these tuples exactly; the delta=full qcheck property
-   cross-checks the two encodings against each other for every lens. *)
-let group_keys ~activated_bits:page (cfg : Config.t) =
-  let p = cfg.Config.tech and d = cfg.Config.domains in
-  let g = Config.geometry cfg in
-  let bits = Spec.bits_per_column_command cfg.Config.spec in
-  let wordline =
-    ( ( p.P.tox_logic, p.P.tox_hv, p.P.tox_cell, p.P.lmin_logic, p.P.lmin_hv,
-        p.P.cj_hv, p.P.l_cell, p.P.w_cell ),
-      ( p.P.c_bitline, p.P.bl_wl_coupling, p.P.c_wire_mwl, p.P.mwl_predecode,
-        p.P.w_mwl_dec_n, p.P.w_mwl_dec_p, p.P.mwl_dec_activity ),
-      ( p.P.w_wlctl_load_n, p.P.w_wlctl_load_p, p.P.w_lwd_n, p.P.w_lwd_p,
-        p.P.w_lwd_restore, p.P.c_wire_lwl, p.P.c_wire_signal ),
-      (d.Domains.vint, d.Domains.vpp),
-      (g, page) )
-  in
-  let sense_amp =
-    ( ( p.P.tox_logic, p.P.tox_hv, p.P.cj_logic, p.P.cj_hv, p.P.c_bitline,
-        p.P.c_cell ),
-      ( p.P.w_sa_n, p.P.l_sa_n, p.P.w_sa_p, p.P.l_sa_p, p.P.w_sa_eq,
-        p.P.l_sa_eq, p.P.w_sa_bitswitch ),
-      ( p.P.w_sa_mux, p.P.l_sa_mux, p.P.w_sa_nset, p.P.l_sa_nset,
-        p.P.w_sa_pset, p.P.l_sa_pset ),
-      (d.Domains.vint, d.Domains.vbl, d.Domains.vpp),
-      (g, page, bits, cfg.Config.data_toggle) )
-  in
-  let column =
-    ( ( p.P.c_wire_signal, p.P.bits_per_csl, p.P.tox_logic, p.P.cj_logic,
-        p.P.lmin_logic ),
-      ( p.P.w_sa_bitswitch, p.P.l_sa_bitswitch, p.P.w_sa_n, p.P.l_sa_n,
-        p.P.w_mwl_dec_n, p.P.w_mwl_dec_p, p.P.mwl_predecode,
-        p.P.mwl_dec_activity ),
-      (d.Domains.vint, d.Domains.vbl),
-      (g, bits) )
-  in
-  let bus =
-    ( (p.P.c_wire_signal, p.P.lmin_logic, p.P.tox_logic, p.P.cj_logic),
-      d.Domains.vint,
-      (cfg.Config.buses, bits) )
-  in
-  let interface =
-    ( d.Domains.vdd,
-      cfg.Config.data_toggle,
-      cfg.Config.io_predriver_cap,
-      cfg.Config.io_receiver_cap,
-      bits )
-  in
-  let logic =
-    ( (p.P.lmin_logic, p.P.tox_logic, p.P.cj_logic, p.P.c_wire_signal),
-      d.Domains.vint,
-      cfg.Config.logic )
-  in
-  (* Indexed by [C.group_index]. *)
-  [|
-    Obj.repr wordline;
-    Obj.repr sense_amp;
-    Obj.repr column;
-    Obj.repr bus;
-    Obj.repr interface;
-    Obj.repr logic;
-  |]
-
-(* Dirty-group bitmask over [C.group_index], deciding whether each
-   group's sub-key is unchanged without building or serializing the
-   projection tuples — a delta probe runs once per perturbed
-   configuration, and the tuple builds were measurably its most
-   expensive step.  Field comparisons mirror [group_keys] one for one;
-   float [=] is false on NaN, which errs toward dirty and is therefore
-   safe (an unnecessary re-extract is exact, a wrong splice is not). *)
-let dirty_groups ~base_bits ~bits ~geometry_eq (a : Config.t) (b : Config.t) =
-  let pa = a.Config.tech and pb = b.Config.tech in
-  let da = a.Config.domains and db = b.Config.domains in
-  (* Structural [=] never shortcuts on physical equality (a value
-     containing NaN must differ from itself), but a perturbed
-     configuration is a copy of its base that physically shares every
-     substructure the lens did not rebuild — so an explicit [==] fast
-     path skips whole record and list walks for the common case of a
-     one-field perturbation.  The geometry comparison is hoisted to
-     the caller, which already has both geometries in hand. *)
-  let teq = pa == pb and deq = da == db in
-  let page_eq = base_bits = bits in
-  let colbits_eq =
-    Spec.bits_per_column_command a.Config.spec
-    = Spec.bits_per_column_command b.Config.spec
-  in
-  let buses_eq =
-    a.Config.buses == b.Config.buses || a.Config.buses = b.Config.buses
-  in
-  let logic_eq =
-    a.Config.logic == b.Config.logic || a.Config.logic = b.Config.logic
-  in
-  let wordline =
-    (teq
-    || pa.P.tox_logic = pb.P.tox_logic
-       && pa.P.tox_hv = pb.P.tox_hv
-       && pa.P.tox_cell = pb.P.tox_cell
-       && pa.P.lmin_logic = pb.P.lmin_logic
-       && pa.P.lmin_hv = pb.P.lmin_hv
-       && pa.P.cj_hv = pb.P.cj_hv
-       && pa.P.l_cell = pb.P.l_cell
-       && pa.P.w_cell = pb.P.w_cell
-       && pa.P.c_bitline = pb.P.c_bitline
-       && pa.P.bl_wl_coupling = pb.P.bl_wl_coupling
-       && pa.P.c_wire_mwl = pb.P.c_wire_mwl
-       && pa.P.mwl_predecode = pb.P.mwl_predecode
-       && pa.P.w_mwl_dec_n = pb.P.w_mwl_dec_n
-       && pa.P.w_mwl_dec_p = pb.P.w_mwl_dec_p
-       && pa.P.mwl_dec_activity = pb.P.mwl_dec_activity
-       && pa.P.w_wlctl_load_n = pb.P.w_wlctl_load_n
-       && pa.P.w_wlctl_load_p = pb.P.w_wlctl_load_p
-       && pa.P.w_lwd_n = pb.P.w_lwd_n
-       && pa.P.w_lwd_p = pb.P.w_lwd_p
-       && pa.P.w_lwd_restore = pb.P.w_lwd_restore
-       && pa.P.c_wire_lwl = pb.P.c_wire_lwl
-       && pa.P.c_wire_signal = pb.P.c_wire_signal)
-    && (deq
-       || (da.Domains.vint = db.Domains.vint && da.Domains.vpp = db.Domains.vpp))
-    && geometry_eq && page_eq
-  in
-  let sense_amp =
-    (teq
-    || pa.P.tox_logic = pb.P.tox_logic
-       && pa.P.tox_hv = pb.P.tox_hv
-       && pa.P.cj_logic = pb.P.cj_logic
-       && pa.P.cj_hv = pb.P.cj_hv
-       && pa.P.c_bitline = pb.P.c_bitline
-       && pa.P.c_cell = pb.P.c_cell
-       && pa.P.w_sa_n = pb.P.w_sa_n
-       && pa.P.l_sa_n = pb.P.l_sa_n
-       && pa.P.w_sa_p = pb.P.w_sa_p
-       && pa.P.l_sa_p = pb.P.l_sa_p
-       && pa.P.w_sa_eq = pb.P.w_sa_eq
-       && pa.P.l_sa_eq = pb.P.l_sa_eq
-       && pa.P.w_sa_bitswitch = pb.P.w_sa_bitswitch
-       && pa.P.w_sa_mux = pb.P.w_sa_mux
-       && pa.P.l_sa_mux = pb.P.l_sa_mux
-       && pa.P.w_sa_nset = pb.P.w_sa_nset
-       && pa.P.l_sa_nset = pb.P.l_sa_nset
-       && pa.P.w_sa_pset = pb.P.w_sa_pset
-       && pa.P.l_sa_pset = pb.P.l_sa_pset)
-    && (deq
-       || da.Domains.vint = db.Domains.vint
-          && da.Domains.vbl = db.Domains.vbl
-          && da.Domains.vpp = db.Domains.vpp)
-    && geometry_eq && page_eq && colbits_eq
-    && a.Config.data_toggle = b.Config.data_toggle
-  in
-  let column =
-    (teq
-    || pa.P.c_wire_signal = pb.P.c_wire_signal
-       && pa.P.bits_per_csl = pb.P.bits_per_csl
-       && pa.P.tox_logic = pb.P.tox_logic
-       && pa.P.cj_logic = pb.P.cj_logic
-       && pa.P.lmin_logic = pb.P.lmin_logic
-       && pa.P.w_sa_bitswitch = pb.P.w_sa_bitswitch
-       && pa.P.l_sa_bitswitch = pb.P.l_sa_bitswitch
-       && pa.P.w_sa_n = pb.P.w_sa_n
-       && pa.P.l_sa_n = pb.P.l_sa_n
-       && pa.P.w_mwl_dec_n = pb.P.w_mwl_dec_n
-       && pa.P.w_mwl_dec_p = pb.P.w_mwl_dec_p
-       && pa.P.mwl_predecode = pb.P.mwl_predecode
-       && pa.P.mwl_dec_activity = pb.P.mwl_dec_activity)
-    && (deq
-       || (da.Domains.vint = db.Domains.vint && da.Domains.vbl = db.Domains.vbl))
-    && geometry_eq && colbits_eq
-  in
-  let bus =
-    (teq
-    || pa.P.c_wire_signal = pb.P.c_wire_signal
-       && pa.P.lmin_logic = pb.P.lmin_logic
-       && pa.P.tox_logic = pb.P.tox_logic
-       && pa.P.cj_logic = pb.P.cj_logic)
-    && (deq || da.Domains.vint = db.Domains.vint)
-    && buses_eq && colbits_eq
-  in
-  let interface =
-    (deq || da.Domains.vdd = db.Domains.vdd)
-    && a.Config.data_toggle = b.Config.data_toggle
-    && a.Config.io_predriver_cap = b.Config.io_predriver_cap
-    && a.Config.io_receiver_cap = b.Config.io_receiver_cap
-    && colbits_eq
-  in
-  let logic =
-    (teq
-    || pa.P.lmin_logic = pb.P.lmin_logic
-       && pa.P.tox_logic = pb.P.tox_logic
-       && pa.P.cj_logic = pb.P.cj_logic
-       && pa.P.c_wire_signal = pb.P.c_wire_signal)
-    && (deq || da.Domains.vint = db.Domains.vint)
-    && logic_eq
-  in
-  (* Bit positions follow [C.group_index], like [group_keys]. *)
-  (if wordline then 0 else 1 lsl C.group_index C.Wordline)
-  lor (if sense_amp then 0 else 1 lsl C.group_index C.Sense_amp)
-  lor (if column then 0 else 1 lsl C.group_index C.Column)
-  lor (if bus then 0 else 1 lsl C.group_index C.Bus)
-  lor (if interface then 0 else 1 lsl C.group_index C.Interface)
-  lor (if logic then 0 else 1 lsl C.group_index C.Logic)
 
 (* ----- the capacitance-extraction stage ---------------------------- *)
 
@@ -458,10 +242,6 @@ let extraction_contributions ex kind =
 
 let extraction_energy ex kind = ex.op_energy.(Operation.index kind)
 
-let group_key ex group =
-  let keys = group_keys ~activated_bits:ex.proj_bits ex.proj in
-  Digest.to_hex (Digest.string (marshal_key keys.(C.group_index group)))
-
 (* ----- delta extraction -------------------------------------------- *)
 
 type delta_outcome = {
@@ -471,6 +251,21 @@ type delta_outcome = {
 }
 
 exception Splice_mismatch
+
+(* The traced read sets of a base, memoized per domain on the base's
+   physical identity: the items of a sweep or corners run share one
+   base, so its trace runs once per domain, and an extraction no delta
+   splices against is never traced. *)
+let read_sets_memo : (extraction * int array) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let read_sets base =
+  match Domain.DLS.get read_sets_memo with
+  | Some (b, sets) when b == base -> sets
+  | _ ->
+    let sets = Read_set.trace ~page:base.proj_bits base.proj in
+    Domain.DLS.set read_sets_memo (Some (base, sets));
+    sets
 
 let extract_delta ?activated_bits ?geometry ~base (cfg : Config.t) =
   let d = cfg.Config.domains in
@@ -487,7 +282,8 @@ let extract_delta ?activated_bits ?geometry ~base (cfg : Config.t) =
     ga == gb || ga = gb
   in
   let dirty_mask =
-    dirty_groups ~base_bits:base.proj_bits ~bits ~geometry_eq base.proj cfg
+    Read_set.dirty (read_sets base) ~base_bits:base.proj_bits ~bits
+      ~geometry_eq base.proj cfg
   in
   let effs = effs_of d in
   (* Which efficiencies actually moved, as a domain mask: a segment's
@@ -520,8 +316,7 @@ let extract_delta ?activated_bits ?geometry ~base (cfg : Config.t) =
          energies, never label sequences, so position-for-position
          equality against the base's labels is the cheap check,
          fused with the supply-energy recompute.  A genuine mismatch
-         (e.g. a renamed logic block the predicates somehow called
-         clean) abandons the splice for a full extract — delta is an
+         (e.g. a label the dirty test somehow called clean) abandons the splice for a full extract — delta is an
          optimization, never a semantic. *)
       let rebuild_seg (b : segment) contribs =
         let labels = b.seg_labels in

@@ -85,7 +85,7 @@ val extract :
 
 type delta_outcome = {
   dirtied : Vdram_circuits.Contribution.group list;
-      (** groups whose sub-key changed and were re-extracted *)
+      (** groups the change can reach, re-extracted *)
   spliced : int;  (** clean groups shared from the base extraction *)
   fallback : bool;
       (** a structural mismatch abandoned the splice for a full
@@ -98,27 +98,18 @@ val extract_delta :
   base:extraction ->
   Config.t ->
   extraction * delta_outcome
-(** Incremental extraction against a cached base: classifies each
-    circuit group clean or dirty by running compiled field-by-field
-    predicates over exactly the values the group's charge model reads
-    (the same read sets {!group_key} digests — a qcheck property
-    holds the two encodings in lockstep), re-extracts only the dirty
-    groups and splices the rest from the base.  Bit-identical to
-    {!extract} on the same configuration — clean segments hold the
+(** Incremental extraction against a cached base: re-extracts only the
+    circuit groups the change can reach and splices the rest from the
+    base.  A group is dirty when a field in its read set changed — the
+    set {!Read_set.trace} reads off the shared charge models, traced
+    once per base and domain — or when one of the inputs its models
+    read without tracing changed (see {!Read_set.dirty}).  Bit-identical
+    to {!extract} on the same configuration — clean segments hold the
     same floats the full extraction would recompute, and totals are
     re-summed in the same order.  When generator efficiencies change,
     spliced segments keep their contribution chunks and recompute
     supply-energy terms for exactly the segments drawing from a
     changed efficiency's domain, sharing the rest untouched. *)
-
-val group_key : extraction -> Vdram_circuits.Contribution.group -> string
-(** Hex digest of one group's marshalled sub-key tuple — stable
-    across perturbations that cannot touch the group, changed
-    whenever one can.  The tuples are the definition of record for
-    each group's read set; the delta probe itself runs compiled
-    predicates mirroring them (never marshalling on the hot path),
-    and the lockstep property test cross-checks the two encodings
-    for every lens. *)
 
 val extraction_contributions :
   extraction -> Operation.kind -> Vdram_circuits.Contribution.t list

@@ -2,9 +2,10 @@
    contribution list to each operation, in concatenation order, and the
    configuration-level terms (buses, DQ interface, logic blocks).
 
-   Shared source, compiled for floats here and for intervals in
-   lib/absint: Num values only through Num, integers through Stdlib, no
-   branch on a Num.t, every read through [rd] (lib/tech/num.ml). *)
+   Shared source, compiled for floats here, for intervals in lib/absint
+   and for read sets in lib/core: Num values only through Num, integers
+   through Stdlib, no branch on a Num.t, every read through [rd]
+   (lib/tech/num.ml). *)
 
 open Num
 module G = Vdram_floorplan.Array_geometry

@@ -80,7 +80,7 @@ let check (cfg : Config.t) =
   (* Efficiencies and activities. *)
   List.iter
     (fun (name, e) ->
-      if e <= 0.0 || e > 1.0 then
+      if not (Domains.efficiency_ok e) then
         add Error "V0312" "%s efficiency %.2f outside (0, 1]" name e)
     [ ("Vint", d.Domains.eff_int); ("Vbl", d.Domains.eff_bl);
       ("Vpp", d.Domains.eff_pp) ];

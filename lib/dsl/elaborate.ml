@@ -456,6 +456,13 @@ let axis_blocks ctx ast ~axis ~geometry =
   match blocks_stmt with
   | None -> None
   | Some stmt ->
+    let array_size =
+      match axis with
+      | `H -> Array_geometry.block_width geometry
+      | `V -> Array_geometry.block_height geometry
+    in
+    (* A size that is not above zero is reported at its key; the
+       array block's size stands in. *)
     let sizes =
       List.concat_map
         (fun (s : Ast.stmt) ->
@@ -463,6 +470,10 @@ let axis_blocks ctx ast ~axis ~geometry =
             List.filter_map
               (fun (k, v) ->
                 match Q.classify Q.Length v with
+                | Ok len when not (len > 0.0) ->
+                  err_arg ctx ~code:"V0204" s k "%s must be above 0, got %g m"
+                    k len;
+                  Some (k, array_size)
                 | Ok len -> Some (k, len)
                 | Error (kind, msg) ->
                   err_arg ctx ~code:(literal_code kind) s k "%s: %s" k msg;
@@ -470,11 +481,6 @@ let axis_blocks ctx ast ~axis ~geometry =
               s.Ast.args
           else [])
         stmts
-    in
-    let array_size =
-      match axis with
-      | `H -> Array_geometry.block_width geometry
-      | `V -> Array_geometry.block_height geometry
     in
     let block name span =
       let kind =
@@ -548,12 +554,12 @@ let elaborate ast =
         Option.bind stmt (fun s -> integer_from 1 ctx s key)
       in
       (* A V0204 at [key] of [stmt], or at line 1 if it is absent. *)
-      let refuse stmt key fmt =
+      let refuse ?(code = "V0204") stmt key fmt =
         Printf.ksprintf
           (fun msg ->
             match stmt with
-            | Some s -> err_arg ctx ~code:"V0204" s key "%s" msg
-            | None -> err ctx ~code:"V0204" 1 "%s" msg)
+            | Some s -> err_arg ctx ~code s key "%s" msg
+            | None -> err ctx ~code 1 "%s" msg)
           fmt
       in
       (* A rule over several keys is refused at the first of [keys] the
@@ -572,11 +578,22 @@ let elaborate ast =
         Option.value ~default:g.Roadmap.io_width
           (Option.bind io (fun s -> integer_from 1 ctx s "width"))
       in
+      (* [key] of [stmt] when it keeps its rule; else the diagnostic at
+         the key and [None], so that the default stands in. *)
+      let checked ?code stmt key dim ok rule =
+        match opt stmt key dim with
+        | Some v when not (ok v) ->
+          refuse ?code stmt key "%s must be %s, got %g" key rule v;
+          None
+        | v -> v
+      in
+      (* The rates and times the specification divides by. *)
+      let positive stmt key dim = checked stmt key dim (fun v -> v > 0.0) "above 0" in
       let datarate =
-        Option.value ~default:g.Roadmap.datarate (opt io "datarate" Q.Datarate)
+        Option.value ~default:g.Roadmap.datarate (positive io "datarate" Q.Datarate)
       in
       let control_clock =
-        match opt control "frequency" Q.Frequency with
+        match positive control "frequency" Q.Frequency with
         | Some f -> f
         | None ->
           (match Node.standard node with
@@ -600,7 +617,7 @@ let elaborate ast =
       let burst_length =
         Option.value ~default:g.Roadmap.burst_length (opt_count burst "length")
       in
-      let trc = Option.value ~default:g.Roadmap.trc (opt timing "trc" Q.Time) in
+      let trc = Option.value ~default:g.Roadmap.trc (positive timing "trc" Q.Time) in
       let trcd =
         Option.value ~default:g.Roadmap.trcd (opt timing "trcd" Q.Time)
       in
@@ -752,20 +769,21 @@ let elaborate ast =
       let supply = stmt_with ast "Voltages" "Supply" in
       let eff = stmt_with ast "Voltages" "Efficiency" in
       let const = stmt_with ast "Voltages" "Constant" in
+      let volts key default =
+        Option.value ~default
+          (checked supply key Q.Voltage Domains.supply_ok
+             (Printf.sprintf "above 0 V and at most %g V" Domains.max_supply))
+      in
+      let efficiency key =
+        checked ~code:"V0312" eff key Q.Fraction Domains.efficiency_ok
+          "within (0, 1]"
+      in
       let domains =
-        Domains.v
-          ?eff_int:(opt eff "int" Q.Fraction)
-          ?eff_bl:(opt eff "bl" Q.Fraction)
-          ?eff_pp:(opt eff "pp" Q.Fraction)
+        Domains.v ?eff_int:(efficiency "int") ?eff_bl:(efficiency "bl")
+          ?eff_pp:(efficiency "pp")
           ?i_constant:(opt const "current" Q.Current)
-          ~vdd:
-            (Option.value ~default:g.Roadmap.vdd (opt supply "vdd" Q.Voltage))
-          ~vint:
-            (Option.value ~default:g.Roadmap.vint
-               (opt supply "vint" Q.Voltage))
-          ~vbl:(Option.value ~default:g.Roadmap.vbl (opt supply "vbl" Q.Voltage))
-          ~vpp:(Option.value ~default:g.Roadmap.vpp (opt supply "vpp" Q.Voltage))
-          ()
+          ~vdd:(volts "vdd" g.Roadmap.vdd) ~vint:(volts "vint" g.Roadmap.vint)
+          ~vbl:(volts "vbl" g.Roadmap.vbl) ~vpp:(volts "vpp" g.Roadmap.vpp) ()
       in
       (* Buses and logic blocks. *)
       let default_buses = Config.default_buses ~floorplan ~node ~spec in

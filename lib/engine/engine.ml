@@ -396,7 +396,7 @@ let record_delta t (o : Model.delta_outcome) =
 (* [base] is the extraction of a configuration the evaluated one is a
    small perturbation of (the nominal point of a sensitivity sweep, the
    seed of a corners draw): on a miss, the stage re-extracts only the
-   circuit groups whose per-group sub-key differs from the base's and
+   circuit groups whose traced read set or structural inputs changed and
    splices the rest.  Purely an access-path optimization — the spliced
    record is bit-identical to a full extraction, whatever device the
    base came from, so the cache content does not depend on how it was

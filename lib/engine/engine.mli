@@ -121,8 +121,8 @@ val extraction :
     draw's seed) — the batched drivers pass what this function
     returned for it just before their batch.  On a miss the stage runs
     {!Vdram_core.Model.extract_delta} against it — re-extracting only
-    the circuit groups whose per-group sub-key changed and splicing
-    the rest — instead of a full extract.  The base is a hint, never a
+    the circuit groups the change can reach and splicing the rest —
+    instead of a full extract.  The base is a hint, never a
     semantic: the result is bit-identical to the full extraction
     whatever device it came from, and a [~delta:false] engine ignores
     it. *)

@@ -1,8 +1,9 @@
 (* Gate and junction capacitance of MOS devices.
 
-   Shared source, compiled for floats here and for intervals in
-   lib/absint: Num values only through Num, integers through Stdlib, no
-   branch on a Num.t, every read through [rd] (num.ml). *)
+   Shared source, compiled for floats here, for intervals in lib/absint
+   and for read sets in lib/core: Num values only through Num, integers
+   through Stdlib, no branch on a Num.t, every read through [rd]
+   (num.ml). *)
 
 open Num
 

@@ -1,17 +1,19 @@
 (* The number the charge models compute with, for the float
    compilation.  Devices, the charge models under lib/circuits and the
    per-operation plan in lib/core are written once against a [Num] and
-   compiled twice: here for floats, and in lib/absint against an
-   interval [Num] for [vdram check].
+   compiled three times: here for floats, in lib/absint against an
+   interval [Num] for [vdram check], and in lib/core against the
+   read-set [Num] of trace_num.ml, whose trace tells delta-extraction
+   which fields each circuit group reads.
 
-   Rules for that shared source, which the interval compilation
-   enforces:
+   Rules for that shared source, which the other two enforce:
    - a [Num.t] is built and combined only through [Num]: [+ * /],
      [lit] for a constant no lens moves, [of_int];
    - integer arithmetic goes through [Stdlib];
    - no branch on a [Num.t] (branch on geometry, flags and lists);
    - every scalar a lens can move is read through [rd], with a
-     literal selector, from a reader of the record it lives in.
+     literal selector, from a reader of the record it lives in (delta
+     extraction sees no other read but [Read_set.structure]'s).
 
    Every operation is an [external] primitive, so each call site
    compiles to the bare float instruction even across the units of an

@@ -171,6 +171,34 @@ let fields =
      fun t v -> { t with c_wire_signal = v });
   ]
 
+(* Bit [k] set when the [k]th field of [fields] differs, bit 38 when
+   [bits_per_csl] does; float [=], so a NaN always differs.  Straight
+   line: delta-extraction runs it once per perturbed configuration. *)
+let changed a b =
+  let[@inline] ne k (x : float) y = if x = y then 0 else 1 lsl k in
+  ne 0 a.tox_logic b.tox_logic lor ne 1 a.tox_hv b.tox_hv
+  lor ne 2 a.tox_cell b.tox_cell lor ne 3 a.lmin_logic b.lmin_logic
+  lor ne 4 a.cj_logic b.cj_logic lor ne 5 a.lmin_hv b.lmin_hv
+  lor ne 6 a.cj_hv b.cj_hv lor ne 7 a.l_cell b.l_cell
+  lor ne 8 a.w_cell b.w_cell lor ne 9 a.c_bitline b.c_bitline
+  lor ne 10 a.c_cell b.c_cell lor ne 11 a.bl_wl_coupling b.bl_wl_coupling
+  lor ne 12 a.c_wire_mwl b.c_wire_mwl
+  lor ne 13 a.mwl_predecode b.mwl_predecode
+  lor ne 14 a.w_mwl_dec_n b.w_mwl_dec_n lor ne 15 a.w_mwl_dec_p b.w_mwl_dec_p
+  lor ne 16 a.mwl_dec_activity b.mwl_dec_activity
+  lor ne 17 a.w_wlctl_load_n b.w_wlctl_load_n
+  lor ne 18 a.w_wlctl_load_p b.w_wlctl_load_p lor ne 19 a.w_lwd_n b.w_lwd_n
+  lor ne 20 a.w_lwd_p b.w_lwd_p lor ne 21 a.w_lwd_restore b.w_lwd_restore
+  lor ne 22 a.c_wire_lwl b.c_wire_lwl lor ne 23 a.w_sa_n b.w_sa_n
+  lor ne 24 a.l_sa_n b.l_sa_n lor ne 25 a.w_sa_p b.w_sa_p
+  lor ne 26 a.l_sa_p b.l_sa_p lor ne 27 a.w_sa_eq b.w_sa_eq
+  lor ne 28 a.l_sa_eq b.l_sa_eq lor ne 29 a.w_sa_bitswitch b.w_sa_bitswitch
+  lor ne 30 a.l_sa_bitswitch b.l_sa_bitswitch lor ne 31 a.w_sa_mux b.w_sa_mux
+  lor ne 32 a.l_sa_mux b.l_sa_mux lor ne 33 a.w_sa_nset b.w_sa_nset
+  lor ne 34 a.l_sa_nset b.l_sa_nset lor ne 35 a.w_sa_pset b.w_sa_pset
+  lor ne 36 a.l_sa_pset b.l_sa_pset lor ne 37 a.c_wire_signal b.c_wire_signal
+  lor if a.bits_per_csl = b.bits_per_csl then 0 else 1 lsl 38
+
 let pp ppf t =
   let q dim v = Vdram_units.Quantity.to_string dim v in
   let open Vdram_units.Quantity in

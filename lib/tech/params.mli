@@ -72,5 +72,9 @@ val fields : (string * (t -> float) * (t -> float -> t)) list
     sensitivity analysis to perturb parameters generically.
     [bits_per_csl] is exposed read-only elsewhere (it is structural). *)
 
+val changed : t -> t -> int
+(** Bit [k] set when the [k]th field of {!fields} differs, bit 38 when
+    [bits_per_csl] does; a NaN differs from everything. *)
+
 val pp : Format.formatter -> t -> unit
 (** Multi-line listing of all parameters with engineering units. *)

@@ -331,13 +331,18 @@ let test_integer_keys_never_raise () =
          coded diagnostics at their key. *)
       List.iter
         (fun (what, src) ->
+          let code = if what = "Efficiency int=150%" then "V0312" else "V0204" in
           match load what src with
           | Error e ->
-            Alcotest.(check string) (name ^ " " ^ what) "V0204" e.Parser.code;
+            Alcotest.(check string) (name ^ " " ^ what) code e.Parser.code;
             Helpers.check_true (name ^ " " ^ what ^ " is spanned")
               (e.Parser.line > 0)
           | Ok _ -> Alcotest.failf "%s with %s elaborated" name what)
         (List.map
+           (fun stmt -> (stmt, "Voltages\n" ^ stmt ^ "\n" ^ source))
+           [ "Supply vdd=0V"; "Supply vint=-1V"; "Supply vpp=1e100V";
+             "Efficiency int=150%" ]
+        @ List.map
            (fun stmt ->
              (stmt, source ^ "\nFloorplanPhysical\n" ^ stmt ^ "\n"))
            [ "CellArray BitsPerLWL=0"; "CellArray page=8" ]
@@ -350,7 +355,8 @@ let test_integer_keys_never_raise () =
               "Control rowadd=0"; "Control coladd=0"; "IO width=1e18";
               "IO width=16384"; "Density mbits=1e300"; "Banks number=0";
               "Banks number=3"; "Banks number=65536"; "Density mbits=0.0001";
-              "Density mbits=0.01"; "Burst length=0"; "Burst prefetch=0" ]))
+              "Density mbits=0.01"; "Burst length=0"; "Burst prefetch=0";
+              "IO datarate=0Gbps"; "Control frequency=0MHz"; "Timing trc=0ns" ]))
     examples
 
 let dsl_fuzz_no_crash =

@@ -14,6 +14,7 @@ module Sensitivity = Vdram_analysis.Sensitivity
 module Corners = Vdram_analysis.Corners
 module Lenses = Vdram_analysis.Lenses
 module Contribution = Vdram_circuits.Contribution
+module Read_set = Vdram_core.Read_set
 
 let base () = Lazy.force Helpers.ddr3_2g
 
@@ -497,58 +498,199 @@ let fingerprint_faithful =
 
 (* ----- delta extraction ----------------------------------------------- *)
 
+(* The devices the read-set tests run over: the seven shipped ones and
+   a 55 nm commodity part in each bitline style, so both sense-amp
+   branches are traced. *)
+let delta_devices =
+  lazy
+    (let module Dv = Vdram_configs.Devices in
+     let module N = Vdram_tech.Node in
+     let module G = Vdram_floorplan.Array_geometry in
+     [ Dv.sdr_128m; Dv.ddr_256m; Dv.ddr3_2g; Dv.ddr4_4g; Dv.ddr5_16g;
+       Dv.ddr2_1g ~node:N.N65 (); Dv.ddr3_1g ~node:N.N55 ();
+       Config.commodity ~name:"open" ~style:G.Open ~node:N.N55 ();
+       Config.commodity ~name:"folded" ~style:G.Folded ~node:N.N55 () ])
+
+let read_sets cfg = Read_set.trace ~page:(Config.activated_bits cfg) cfg
+
+let reaching sets moved =
+  List.filter
+    (fun g -> sets.(Contribution.group_index g) land moved <> 0)
+    Contribution.groups
+
 (* The content-addressing contract: for EVERY lens, at a random scale
-   on a random base, the spliced extraction must equal the full
-   re-extraction bit for bit (record and report alike), the groups the
-   splice actually dirtied must be within the lens's declared dirty
-   set — an under-declared [Lenses.dirties] table fails here, an
-   over-declared one merely wastes splices — and the dirty decision
-   itself (the compiled per-group predicates) must agree exactly with
-   the marshalled sub-key digests of [Model.group_key], so the two
-   encodings of each group's read set cannot drift apart. *)
+   on every device scaled at random, the spliced extraction must equal
+   the full re-extraction bit for bit (record and report alike), the
+   groups the splice dirtied must be exactly those whose traced read
+   set holds a field the lens moved, and within the lens's declared
+   [Lenses.dirties]. *)
 let delta_matches_full =
   QCheck.Test.make
     ~name:"extract_delta: bit-identical to full for every lens" ~count:8
     QCheck.(pair (float_range 0.85 1.2) (float_range 0.7 1.3))
     (fun (base_factor, scale) ->
-      let cfg = scale_bitline (base ()) base_factor in
-      let base_ex = Model.extract cfg in
-      let p = Pattern.idd7_mixed cfg.Config.spec in
       List.for_all
-        (fun lens ->
-          let cfg' = Lenses.scale lens scale cfg in
-          let full = Model.extract cfg' in
-          let delta, outcome = Model.extract_delta ~base:base_ex cfg' in
-          delta = full
-          && Model.pattern_power_staged delta cfg' p
-             = Model.pattern_power_staged full cfg' p
-          && (not outcome.Model.fallback)
-          && List.for_all
-               (fun g -> List.mem g lens.Lenses.dirties)
-               outcome.Model.dirtied
-          && List.for_all
-               (fun g ->
-                 List.mem g outcome.Model.dirtied
-                 = (Model.group_key base_ex g <> Model.group_key full g))
-               Contribution.groups)
-        Lenses.all)
+        (fun device ->
+          let cfg = scale_bitline device base_factor in
+          let base_ex = Model.extract cfg in
+          let sets = read_sets cfg in
+          let p = Pattern.idd7_mixed cfg.Config.spec in
+          List.for_all
+            (fun lens ->
+              let cfg' = Lenses.scale lens scale cfg in
+              let full = Model.extract cfg' in
+              let delta, outcome = Model.extract_delta ~base:base_ex cfg' in
+              delta = full
+              && Model.pattern_power_staged delta cfg' p
+                 = Model.pattern_power_staged full cfg' p
+              && (not outcome.Model.fallback)
+              && outcome.Model.dirtied
+                 = reaching sets (Read_set.changed cfg cfg')
+              && List.for_all
+                   (fun g -> List.mem g lens.Lenses.dirties)
+                   outcome.Model.dirtied)
+            Lenses.all)
+        (Lazy.force delta_devices))
+
+(* Each group's chunks, per operation kind, as energy lists. *)
+let group_energies cfg g =
+  List.concat_map
+    (fun kind ->
+      List.filter_map
+        (fun (g', chunk) ->
+          if g' = g then
+            Some (List.map (fun (c : Contribution.t) -> c.Contribution.energy) (chunk ()))
+          else None)
+        (Vdram_core.Operation.segments cfg kind))
+    Vdram_core.Operation.all
 
 let delta_group_keys () =
   (* Scaling the bitline capacitance reaches the wordline (coupling)
      and sense-amplifier (swing) charge models and nothing else: their
-     sub-keys must move, the other four must hold bit-still. *)
+     traced read sets hold the field and their chunks move, the other
+     four hold bit-still and are spliced.  [bits_per_csl], the one
+     integer field, reaches the column path alone. *)
   let cfg = base () in
+  let sets = read_sets cfg in
   let ex = Model.extract cfg in
-  let ex' = Model.extract (scale_bitline cfg 1.1) in
+  let tech = cfg.Config.tech in
   List.iter
-    (fun g ->
-      let name = Contribution.group_name g in
-      let stable = Model.group_key ex g = Model.group_key ex' g in
-      match g with
-      | Contribution.Wordline | Contribution.Sense_amp ->
-        Helpers.check_true (name ^ " sub-key dirtied") (not stable)
-      | _ -> Helpers.check_true (name ^ " sub-key stable") stable)
-    Contribution.groups
+    (fun (what, cfg', bit, reached) ->
+      let moved = Read_set.changed cfg cfg' in
+      Alcotest.(check int) (what ^ ": one field moved") (1 lsl bit) moved;
+      Helpers.check_true (what ^ ": traced groups") (reaching sets moved = reached);
+      let _, outcome = Model.extract_delta ~base:ex cfg' in
+      Helpers.check_true (what ^ ": dirtied") (outcome.Model.dirtied = reached);
+      List.iter
+        (fun g ->
+          let name = what ^ ", " ^ Contribution.group_name g in
+          let stable = group_energies cfg g = group_energies cfg' g in
+          if List.mem g reached then
+            Helpers.check_true (name ^ " chunks moved") (not stable)
+          else Helpers.check_true (name ^ " chunks stable") stable)
+        Contribution.groups)
+    [ ("bitline capacitance", scale_bitline cfg 1.1, 9,
+       [ Contribution.Wordline; Contribution.Sense_amp ]);
+      ("bits per CSL",
+       Config.with_tech cfg { tech with Params.bits_per_csl = 2 * tech.Params.bits_per_csl },
+       38, [ Contribution.Column ]) ]
+
+(* The NaN-poison oracle: float arithmetic spreads a NaN exactly as the
+   read-set compilation spreads a field's bit, so setting one traced
+   field to NaN must poison exactly the groups whose traced set holds
+   it.  The poisoners cover every float field a charge model may read,
+   and fields none reads (the receiver bias), which must poison
+   nothing; the one integer field ([bits_per_csl], bit 38) is left to
+   the test above. *)
+let read_set_nan_oracle () =
+  let module LB = Vdram_circuits.Logic_block in
+  let logic name f = (name, fun c -> Config.map_logic c f) in
+  let poisoners =
+    List.map
+      (fun (name, _, set) ->
+        (name, fun c -> Config.with_tech c (set c.Config.tech Float.nan)))
+      Params.fields
+    @ List.map
+        (fun (l : Lenses.t) -> (l.Lenses.name, fun c -> l.Lenses.set c Float.nan))
+        (Lenses.voltages @ Lenses.interface)
+    @ [ logic "gates" (fun b -> { b with LB.gates = Float.nan });
+        logic "w_nmos" (fun b -> { b with LB.w_nmos = Float.nan });
+        logic "w_pmos" (fun b -> { b with LB.w_pmos = Float.nan });
+        logic "transistors" (fun b -> { b with LB.transistors_per_gate = Float.nan });
+        logic "layout" (fun b -> { b with LB.layout_density = Float.nan });
+        logic "wiring" (fun b -> { b with LB.wiring_density = Float.nan });
+        logic "toggle" (fun b -> { b with LB.toggle = Float.nan }) ]
+  in
+  let checks = ref 0 in
+  List.iter
+    (fun device ->
+      let sets = read_sets device in
+      let covered =
+        List.fold_left
+          (fun acc (name, poison) ->
+            let cfg = poison device in
+            let moved = Read_set.changed device cfg in
+            let what = device.Config.name ^ ", " ^ name in
+            Helpers.check_true (what ^ ": at most one field")
+              (moved land (moved - 1) = 0);
+            if reaching sets moved <> [] then incr checks;
+            List.iter
+              (fun g ->
+                let poisoned =
+                  List.exists (List.exists Float.is_nan) (group_energies cfg g)
+                in
+                if poisoned <> List.mem g (reaching sets moved) then
+                  Alcotest.failf "%s: %s %s NaN, its read set %s the field" what
+                    (Contribution.group_name g)
+                    (if poisoned then "turns" else "stays clear of")
+                    (if poisoned then "lacks" else "holds"))
+              Contribution.groups;
+            acc lor moved)
+          (1 lsl 38) poisoners
+      in
+      let traced = Array.fold_left ( lor ) 0 sets in
+      Alcotest.(check int) (device.Config.name ^ ": every traced field poisoned")
+        traced (traced land covered))
+    (Lazy.force delta_devices);
+  Helpers.check_true "hundreds of traced fields checked" (!checks > 400)
+
+(* A reader maps its selector's value back to a field's bit, and
+   refuses every value a selector computes instead of reading one
+   field, so such a selector cannot hide a read from the trace. *)
+let trace_codes_refuse_computed () =
+  let module T = Vdram_core.Trace_num in
+  Alcotest.(check int) "a code is its field's bit" (1 lsl 9) (T.bit (T.code 9));
+  Alcotest.(check int) "an int field holds its code" (1 lsl 38)
+    (T.bit (float_of_int (Float.to_int (T.code 38))));
+  List.iter
+    (fun (what, v) ->
+      match T.bit v with
+      | _ -> Alcotest.failf "%s decoded to a field" what
+      | exception Invalid_argument _ -> ())
+    [ ("a sum", T.code 3 +. T.code 4); ("a difference", T.code 4 -. T.code 3);
+      ("a product", T.code 3 *. T.code 4); ("a ratio", T.code 4 /. T.code 3);
+      ("a shifted code", T.code 3 +. 1.0); ("a halved code", T.code 8 /. 2.0);
+      ("a physical value", 1.5); ("NaN", Float.nan); ("past the last bit", T.code 63) ]
+
+(* [Lenses.dirties] declares, per lens, the groups the lens can reach;
+   it must be the union over the devices of the groups whose traced
+   read set holds a field the lens moves. *)
+let lens_dirties_traced () =
+  let devices = List.map (fun d -> (d, read_sets d)) (Lazy.force delta_devices) in
+  List.iter
+    (fun (lens : Lenses.t) ->
+      let union =
+        List.filter
+          (fun g ->
+            List.exists
+              (fun (d, sets) ->
+                List.mem g (reaching sets (Read_set.changed d (Lenses.scale lens Float.nan d))))
+              devices)
+          Contribution.groups
+      in
+      Helpers.check_true (lens.Lenses.name ^ ": dirties = traced union")
+        (union = lens.Lenses.dirties))
+    Lenses.all
 
 let engine_delta_path () =
   let cfg = base () in
@@ -1300,6 +1442,12 @@ let suite =
     Helpers.qcheck delta_matches_full;
     Alcotest.test_case "delta: group sub-keys move only when dirtied" `Quick
       delta_group_keys;
+    Alcotest.test_case "delta: NaN poisons exactly the traced groups" `Quick
+      read_set_nan_oracle;
+    Alcotest.test_case "delta: lens dirties are the traced union" `Quick
+      lens_dirties_traced;
+    Alcotest.test_case "delta: a computed read is refused" `Quick
+      trace_codes_refuse_computed;
     Alcotest.test_case "delta: engine path identical, counted, switchable"
       `Quick engine_delta_path;
     Alcotest.test_case "delta: sensitivity identical with delta off" `Quick

@@ -610,13 +610,14 @@ let server_bad_frames () =
 
 (* A report that is not finite fails validation in whichever row it
    is: the requested loop has no column access and stays finite, while
-   the Idd4R row of the same answer does not. *)
+   the Idd4R row of the same answer, whose data buses and column path
+   stack more signal wire, does not. *)
 let server_non_finite () =
   with_server (fun _server path ->
       let fd = connect path in
       send_line fd
         ({|{"id":"hot","op":"eval","pattern":"act nop pre nop",|}
-        ^ {|"config":{"source":"Device\nPart name=hot node=65nm\nVoltages\nSupply vdd=1e300V\n"}}|});
+        ^ {|"config":{"source":"Device\nPart name=hot node=65nm\nTechnology\nSet cwiresignal=1e300F/m\n"}}|});
       let f = one (recv_frames fd 1) in
       Alcotest.(check string) "refused" "error" (jstr f "status");
       Alcotest.(check string) "classified validate" "validate" (jstr f "class");
